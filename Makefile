@@ -5,9 +5,11 @@
 #                   paths, a short fuzz smoke over the input parsers,
 #                   a kill-a-worker pass over the multi-process shard
 #                   supervisor (crash/hang/poison/resume), the
-#                   per-package coverage floor, and a single-shot
+#                   per-package coverage floor, a single-shot
 #                   pass over the queue microbenchmarks (smoke, not
-#                   measurement).
+#                   measurement), and vet + race tests of the nested
+#                   perfbench module (its own go.mod, so ./... skips
+#                   it).
 #   make test     — tier-1 tests only (what CI must keep green).
 #   make cover    — per-package coverage with a floor on the core
 #                   packages (internal/alarm, internal/sim,
@@ -59,6 +61,7 @@ verify: vet build
 	$(GO) test ./internal/tournament/ -run '^$$' -fuzz '^FuzzTournamentSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test -count=1 -run 'TestRunSurvivesTransientFaults|TestRunQuarantinesPoisonShard|TestRunKillsHungWorker|TestCheckpointResumeRunsOnlyMissingShards' ./internal/shardexec/
 	$(MAKE) cover
+	cd perfbench && $(GO) vet . && $(GO) test -race .
 	$(GO) test ./internal/alarm/ -run '^$$' -bench 'Queue(Insert|Find|PopDue|Realign)' -benchtime=1x -short -timeout 10m
 	$(GO) test -race $(KERNELBENCH) -benchtime=1x -timeout 10m
 	$(GO) test -race $(BACKENDBENCH) -benchtime=1x -timeout 10m

@@ -133,9 +133,8 @@ func (o *options) run(w, errw io.Writer) error {
 		Trials:       o.trials,
 		Seed:         o.seed,
 		Duration:     simclock.Duration(o.hours * float64(simclock.Hour)),
-		Workers:      o.workers,
 		FleetDevices: o.devices,
-		Procs:        o.procs,
+		Exec:         shardexec.Options{Workers: o.workers, Procs: o.procs},
 	}
 	if o.progress {
 		ropts.Progress = func(p sim.Progress) {

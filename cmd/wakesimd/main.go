@@ -150,10 +150,8 @@ func (o *options) run(ctx context.Context, w io.Writer) error {
 	}
 	store := runstore.New(o.maxRuns)
 	srv := &http.Server{Handler: httpapi.New(store, httpapi.Options{
-		Workers:       o.workers,
-		Procs:         o.procs,
-		SnapshotEvery: o.snapshot,
-		MaxBody:       o.maxBody,
+		Exec:    shardexec.Options{Workers: o.workers, Procs: o.procs, SnapshotEvery: o.snapshot},
+		MaxBody: o.maxBody,
 	})}
 
 	fmt.Fprintf(w, "wakesimd: listening on %s (%d execution slots, drain %v)\n", ln.Addr(), o.maxRuns, o.drain)

@@ -182,6 +182,8 @@ func TestReadSpecRejectsBadInput(t *testing.T) {
 		{"unknown field", `{"devices": 3, "bogus": 1}`},
 		{"invalid spec", `{"devices": -1}`},
 		{"bad policy", `{"devices": 2, "test_policy": "NOPE"}`},
+		{"trailing garbage", `{"devices": 3} garbage`},
+		{"second document", `{"devices": 3}{"devices": 4}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

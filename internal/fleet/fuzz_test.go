@@ -22,6 +22,7 @@ func FuzzFleetSpec(f *testing.F) {
 	f.Add([]byte(`{"devices": 0}`))
 	f.Add([]byte(`{"apps": {"min": 9e99}}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"devices": 3}{"devices": 4}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ReadSpec(bytes.NewReader(data))
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/simclock"
+	"repro/internal/strictjson"
 )
 
 // Range is a uniform distribution over [Min, Max]. Min == Max pins the
@@ -260,9 +261,7 @@ func catalogFor(name string) ([]apps.Spec, error) {
 // ReadSpec parses and validates a JSON fleet spec.
 func ReadSpec(r io.Reader) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(r, &s); err != nil {
 		return Spec{}, fmt.Errorf("fleet: decode spec: %w", err)
 	}
 	if err := s.WithDefaults().Validate(); err != nil {

@@ -1,11 +1,12 @@
 // Package httpapi is wakesimd's HTTP surface: submit single-device runs
 // and whole-fleet specs, fetch stored results, cancel in-flight work,
 // and tail per-device progress plus live aggregate snapshots over
-// Server-Sent Events. State lives in an internal/runstore Store; the
-// simulations themselves execute on the existing sim.RunAll/fleet.Run
-// pools, so everything the library guarantees — determinism,
-// byte-identical aggregates, partial results on failure — holds verbatim
-// for results fetched over HTTP.
+// Server-Sent Events. State lives in an internal/runstore Store; single
+// runs execute on the sim.RunAll pool and fleets through shardexec.Run
+// (in-process when Options.Exec.Procs is 0, across supervised worker
+// processes when it is positive), so everything the library guarantees
+// — determinism, byte-identical aggregates, partial results on failure —
+// holds verbatim for results fetched over HTTP.
 //
 //	POST   /runs               submit one device run (RunSpec JSON)
 //	POST   /fleets             submit a fleet (fleet.Spec JSON)
@@ -15,11 +16,11 @@
 //	GET    /fleets/{id}        fetch a fleet (aggregate once done)
 //	DELETE /runs/{id}          cancel (also /fleets/{id})
 //	GET    /runs/{id}/events   SSE: state transitions
-//	GET    /fleets/{id}/events SSE: per-run + per-device progress,
-//	                           aggregate snapshots, final summary (and
-//	                           per-shard worker lifecycle events when
-//	                           the daemon executes fleets across
-//	                           processes, Options.Procs > 0)
+//	GET    /fleets/{id}/events SSE: progress, aggregate snapshots,
+//	                           final summary; per-run events in-process
+//	                           (Options.Exec.Procs == 0), per-shard
+//	                           worker lifecycle events across worker
+//	                           processes (Options.Exec.Procs > 0)
 //	GET    /healthz            liveness + store occupancy
 //	GET    /readyz             readiness: 503 once the store is draining
 package httpapi
@@ -36,16 +37,16 @@ import (
 	"repro/internal/runstore"
 	"repro/internal/shardexec"
 	"repro/internal/sim"
+	"repro/internal/strictjson"
 )
 
 // Options tune the service.
 type Options struct {
-	// Workers bounds each execution's sim.RunAll pool; ≤ 0 means
-	// GOMAXPROCS.
-	Workers int
-	// SnapshotEvery is the fold interval between SSE aggregate
-	// snapshots; ≤ 0 means fleet.DefaultSnapshotEvery.
-	SnapshotEvery int
+	// Exec runs every fleet; Exec.Workers also bounds single runs' sim
+	// pool, and Exec.SnapshotEvery is the device interval between SSE
+	// aggregate snapshots. Its callbacks are replaced per fleet by the
+	// SSE wiring.
+	Exec shardexec.Options
 	// MaxBody bounds request bodies in bytes; ≤ 0 means 1 MiB.
 	MaxBody int64
 	// Heartbeat is the idle interval between SSE keep-alive comment
@@ -54,19 +55,6 @@ type Options struct {
 	// stay byte-silent — the comment frames keep the connection alive
 	// without adding events a client has to parse.
 	Heartbeat time.Duration
-	// Procs, when > 0, executes fleets through the multi-process shard
-	// supervisor (internal/shardexec) instead of the in-process pool:
-	// crashed workers are retried, the SSE stream gains "shard"
-	// lifecycle events, and the summary stays byte-identical.
-	Procs int
-	// ShardSize is the device range per worker process when Procs > 0;
-	// ≤ 0 means shardexec.DefaultShardSize.
-	ShardSize int
-	// WorkerArgv/WorkerEnv forward to shardexec.Options: the worker
-	// command line (empty means this executable -shardworker) and extra
-	// child environment entries.
-	WorkerArgv []string
-	WorkerEnv  []string
 }
 
 // DefaultHeartbeat is the idle SSE keep-alive interval when
@@ -124,10 +112,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // decode parses a bounded JSON request body, rejecting unknown fields —
 // a misspelled knob must be a 400, not a silently defaulted run.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, s.opts.MaxBody), v); err != nil {
 		return fmt.Errorf("decode request: %w", err)
 	}
 	return nil
@@ -162,7 +147,7 @@ func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.submit(w, "run", func(ctx context.Context, h runstore.Handle) (any, error) {
 		h.SetProgress(0, 1)
-		rs, err := sim.RunAll(ctx, []sim.Config{cfg}, sim.RunAllOptions{Workers: s.opts.Workers})
+		rs, err := sim.RunAll(ctx, []sim.Config{cfg}, sim.RunAllOptions{Workers: s.opts.Exec.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +156,10 @@ func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// submitFleet accepts a fleet.Spec and executes it on the fleet runner,
-// wiring every progress layer into the SSE fan-out: per-run completions
-// ("run"), per-device folds ("device"), and periodic live aggregates
-// ("snapshot"). On a mid-fleet failure the partial aggregate is stored
-// with the error (fleet.Run's contract).
+// submitFleet accepts a fleet.Spec and executes it through fleetExec,
+// which wires every progress layer into the SSE fan-out. On a mid-fleet
+// failure the partial aggregate is stored with the error (fleet.Run's
+// contract).
 func (s *Server) submitFleet(w http.ResponseWriter, r *http.Request) {
 	// fleet.ReadSpec is the one decode+default+validate path for fleet
 	// specs — the service accepts exactly what wakesim -fleet accepts,
@@ -223,82 +207,50 @@ type shardData struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// shardedFleetExec executes the fleet through the multi-process shard
-// supervisor. The progress surface matches fleetExec (same "device" and
-// "snapshot" events, same partial-result contract) plus per-shard
-// lifecycle events and live attempt/retry counters on the stored run.
-func (s *Server) shardedFleetExec(spec fleet.Spec) runstore.Exec {
+// fleetExec executes the fleet through shardexec.Run. Progress reaches
+// the SSE fan-out in layers: per-device folds ("device"), periodic live
+// aggregates ("snapshot"), per-run completions ("run", in-process only)
+// and per-shard worker lifecycle events ("shard", worker processes
+// only), the last also kept as live attempt/retry counters on the
+// stored run.
+func (s *Server) fleetExec(spec fleet.Spec) runstore.Exec {
 	return func(ctx context.Context, h runstore.Handle) (any, error) {
 		var attempts, retries int
-		opts := shardexec.Options{
-			Procs:         s.opts.Procs,
-			ShardSize:     s.opts.ShardSize,
-			Workers:       s.opts.Workers,
-			WorkerArgv:    s.opts.WorkerArgv,
-			WorkerEnv:     s.opts.WorkerEnv,
-			SnapshotEvery: s.opts.SnapshotEvery,
-			Progress: func(done, total int) {
-				h.SetProgress(done, total)
-				h.Publish(runstore.Event{Type: "device", Data: deviceData{Done: done, Total: total}})
-			},
-			Snapshot: func(done, total int, sum fleet.Summary) {
-				h.Publish(runstore.Event{Type: "snapshot", Data: snapshotData{Done: done, Total: total, Summary: sum}})
-			},
-			OnShard: func(ev shardexec.ShardEvent) {
-				// OnShard calls are serialized by the supervisor.
-				if ev.State == "start" {
-					attempts++
-					if ev.Attempt > 1 {
-						retries++
-					}
-					h.SetShardStats(attempts, retries)
+		opts := s.opts.Exec
+		opts.Progress = func(done, total int) {
+			h.SetProgress(done, total)
+			h.Publish(runstore.Event{Type: "device", Data: deviceData{Done: done, Total: total}})
+		}
+		opts.RunProgress = func(p sim.Progress) {
+			rd := runData{Index: p.Index, Done: p.Done, Total: p.Total,
+				Name: p.Name, WallMS: float64(p.Wall.Microseconds()) / 1000}
+			if p.Err != nil {
+				rd.Error = p.Err.Error()
+			}
+			h.Publish(runstore.Event{Type: "run", Data: rd})
+		}
+		opts.Snapshot = func(done, total int, sum fleet.Summary) {
+			h.Publish(runstore.Event{Type: "snapshot", Data: snapshotData{Done: done, Total: total, Summary: sum}})
+		}
+		opts.OnShard = func(ev shardexec.ShardEvent) {
+			// OnShard calls are serialized by the supervisor.
+			if ev.State == "start" {
+				attempts++
+				if ev.Attempt > 1 {
+					retries++
 				}
-				h.Publish(runstore.Event{Type: "shard", Data: shardData{
-					Index: ev.Index, Lo: ev.Lo, Hi: ev.Hi,
-					Attempt: ev.Attempt, State: ev.State, Error: ev.Err,
-				}})
-			},
+				h.SetShardStats(attempts, retries)
+			}
+			h.Publish(runstore.Event{Type: "shard", Data: shardData{
+				Index: ev.Index, Lo: ev.Lo, Hi: ev.Hi,
+				Attempt: ev.Attempt, State: ev.State, Error: ev.Err,
+			}})
 		}
 		r, err := shardexec.Run(ctx, spec, opts)
 		if r == nil {
 			return nil, err
 		}
 		h.SetShardStats(r.Attempts, r.Retries)
-		if err != nil && r.Agg.Devices() == 0 {
-			return nil, err
-		}
-		return r.Agg.Summary(), err
-	}
-}
-
-func (s *Server) fleetExec(spec fleet.Spec) runstore.Exec {
-	if s.opts.Procs > 0 {
-		return s.shardedFleetExec(spec)
-	}
-	return func(ctx context.Context, h runstore.Handle) (any, error) {
-		opts := fleet.Options{
-			Workers:       s.opts.Workers,
-			SnapshotEvery: s.opts.SnapshotEvery,
-			Progress: func(done, total int) {
-				h.SetProgress(done, total)
-				h.Publish(runstore.Event{Type: "device", Data: deviceData{Done: done, Total: total}})
-			},
-			RunProgress: func(p sim.Progress) {
-				rd := runData{Index: p.Index, Done: p.Done, Total: p.Total,
-					Name: p.Name, WallMS: float64(p.Wall.Microseconds()) / 1000}
-				if p.Err != nil {
-					rd.Error = p.Err.Error()
-				}
-				h.Publish(runstore.Event{Type: "run", Data: rd})
-			},
-			Snapshot: func(done, total int, sum fleet.Summary) {
-				h.Publish(runstore.Event{Type: "snapshot", Data: snapshotData{Done: done, Total: total, Summary: sum}})
-			},
-		}
-		r, err := fleet.Run(ctx, spec, opts)
-		if r == nil {
-			return nil, err
-		}
 		if err != nil && r.Agg.Devices() == 0 {
 			// Nothing folded: the error alone tells the story.
 			return nil, err

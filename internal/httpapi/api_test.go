@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/runstore"
+	"repro/internal/shardexec"
 )
 
 // newTestServer stands up the full service over real HTTP (SSE needs a
@@ -23,7 +24,7 @@ import (
 func newTestServer(t *testing.T, maxConcurrent int) (*httptest.Server, *runstore.Store) {
 	t.Helper()
 	store := runstore.New(maxConcurrent)
-	ts := httptest.NewServer(New(store, Options{SnapshotEvery: 100}))
+	ts := httptest.NewServer(New(store, Options{Exec: shardexec.Options{SnapshotEvery: 100}}))
 	t.Cleanup(func() {
 		ts.Close()
 		store.CancelAll()
@@ -111,11 +112,23 @@ type sseEvent struct {
 // it after the "done" frame) and returns every frame in order.
 func tailSSE(t *testing.T, url string) []sseEvent {
 	t.Helper()
+	return tailSSEAttached(t, url, nil)
+}
+
+// tailSSEAttached is tailSSE calling attached, when non-nil, once the
+// subscription is in place: the handler subscribes before it sends the
+// response headers, so every event published after attached returns
+// reaches the stream.
+func tailSSEAttached(t *testing.T, url string, attached func()) []sseEvent {
+	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if attached != nil {
+		attached()
+	}
 	if resp.StatusCode != http.StatusOK {
 		blob, _ := io.ReadAll(resp.Body)
 		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, blob)
@@ -444,11 +457,14 @@ func TestBadSpecsRejected(t *testing.T) {
 		{"bad app spec", "/runs", `{"apps": [{"name":"A","period_s":-5,"alpha":0,"hw":[],"task_s":1}]}`, "period"},
 		{"bad beta", "/runs", `{"beta": -0.5}`, "beta"},
 		{"empty apps array", "/runs", `{"apps": []}`, "workload"},
+		{"trailing run garbage", "/runs", `{"workload": "light"} garbage`, "decode"},
+		{"second run document", "/runs", `{"workload": "light"}{"workload": "heavy"}`, "trailing data"},
 		{"garbage fleet", "/fleets", "also not json", "decode"},
 		{"unknown fleet field", "/fleets", `{"devices": 5, "bogus": 1}`, "bogus"},
 		{"zero devices", "/fleets", `{"devices": 0}`, "device count"},
 		{"bad fleet policy", "/fleets", `{"devices": 5, "test_policy": "NOPE"}`, "unknown policy"},
 		{"inverted apps range", "/fleets", `{"devices": 5, "apps": {"min": 9, "max": 2}}`, "min > max"},
+		{"second fleet document", "/fleets", `{"devices": 5}{"devices": 6}`, "trailing data"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

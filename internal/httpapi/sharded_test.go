@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -45,17 +46,18 @@ func shardedTestWorker() int {
 }
 
 // newShardedTestServer stands the service up in multi-process mode: two
-// worker processes, 16-device shards, this test binary as the worker.
-func newShardedTestServer(t *testing.T, extraEnv ...string) (*httptest.Server, *runstore.Store) {
+// worker processes, 16-device shards, this test binary as the worker,
+// an aggregate snapshot every snapshotEvery devices.
+func newShardedTestServer(t *testing.T, snapshotEvery int, extraEnv ...string) (*httptest.Server, *runstore.Store) {
 	t.Helper()
 	store := runstore.New(2)
-	ts := httptest.NewServer(New(store, Options{
-		SnapshotEvery: 100,
+	ts := httptest.NewServer(New(store, Options{Exec: shardexec.Options{
+		SnapshotEvery: snapshotEvery,
 		Procs:         2,
 		ShardSize:     16,
 		WorkerArgv:    []string{os.Args[0]},
 		WorkerEnv:     append([]string{"HTTPAPI_TEST_SHARDWORKER=1"}, extraEnv...),
-	}))
+	}}))
 	t.Cleanup(func() {
 		ts.Close()
 		store.CancelAll()
@@ -71,7 +73,7 @@ func newShardedTestServer(t *testing.T, extraEnv ...string) (*httptest.Server, *
 // in-process fleet.Run — and the run snapshot reports one attempt per
 // shard.
 func TestShardedFleetByteIdentity(t *testing.T) {
-	ts, _ := newShardedTestServer(t)
+	ts, _ := newShardedTestServer(t, 100)
 	status, run := post(t, ts.URL+"/fleets", fleetSpecJSON)
 	if status != http.StatusAccepted {
 		t.Fatalf("POST /fleets = %d", status)
@@ -99,7 +101,7 @@ func TestShardedFleetByteIdentity(t *testing.T) {
 // retry, the stored counters must count it, and the final aggregate
 // must still be byte-identical to the crash-free direct run.
 func TestShardedFleetSSERetry(t *testing.T) {
-	ts, _ := newShardedTestServer(t, "HTTPAPI_TEST_FAIL_SHARD=1")
+	ts, _ := newShardedTestServer(t, 100, "HTTPAPI_TEST_FAIL_SHARD=1")
 	status, run := post(t, ts.URL+"/fleets", fleetSpecJSON)
 	if status != http.StatusAccepted {
 		t.Fatalf("POST /fleets = %d", status)
@@ -144,5 +146,60 @@ func TestShardedFleetSSERetry(t *testing.T) {
 	getJSON(t, ts.URL+"/fleets/"+run.ID, &snap)
 	if snap.Attempts != 5 || snap.Retries != 1 {
 		t.Fatalf("attempts=%d retries=%d, want 5 and 1", snap.Attempts, snap.Retries)
+	}
+}
+
+// TestShardedFleetSnapshotsCountDevices: SnapshotEvery counts devices
+// with worker processes too, not merged shards. The 60-device fleet
+// merges 16-device shards at 16, 32, 48 and 60 devices; a snapshot
+// follows each merge that reaches or crosses a multiple of
+// SnapshotEvery, and the last merge always snapshots. The stream then
+// repeats the stored aggregate as its terminal snapshot.
+func TestShardedFleetSnapshotsCountDevices(t *testing.T) {
+	for _, tc := range []struct {
+		every int
+		want  []int
+	}{
+		{10, []int{16, 32, 48, 60, 60}},
+		{24, []int{32, 48, 60, 60}},
+		{100, []int{60, 60}},
+	} {
+		t.Run(strconv.Itoa(tc.every), func(t *testing.T) {
+			ts, store := newShardedTestServer(t, tc.every)
+			// Hold both execution slots so the fleet cannot publish a
+			// frame before the SSE subscription is attached.
+			release := make(chan struct{})
+			for i := 0; i < 2; i++ {
+				if _, err := store.Submit("run", func(ctx context.Context, h runstore.Handle) (any, error) {
+					select {
+					case <-release:
+					case <-ctx.Done():
+					}
+					return nil, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			status, run := post(t, ts.URL+"/fleets", fleetSpecJSON)
+			if status != http.StatusAccepted {
+				close(release)
+				t.Fatalf("POST /fleets = %d", status)
+			}
+			events := tailSSEAttached(t, ts.URL+"/fleets/"+run.ID+"/events", func() { close(release) })
+			var got []int
+			for _, ev := range events {
+				if ev.Type != "snapshot" {
+					continue
+				}
+				var sd snapshotData
+				if err := json.Unmarshal(ev.Data, &sd); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, sd.Done)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("snapshots at %v devices, want %v", got, tc.want)
+			}
+		})
 	}
 }

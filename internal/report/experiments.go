@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/shardexec"
 	"repro/internal/sim"
 	"repro/internal/simclock"
 	"repro/internal/stats"
@@ -21,28 +22,22 @@ type Options struct {
 	Seed int64
 	// Duration is the standby horizon; zero means the paper's 3 h.
 	Duration simclock.Duration
-	// Workers bounds the parallel runner's pool; ≤ 0 means GOMAXPROCS.
-	Workers int
 	// FleetDevices is the population size for the fleet experiment; zero
 	// means 10,000.
 	FleetDevices int
 	// Progress, when non-nil, receives one callback per finished run
 	// (forwarded to the parallel runner).
 	Progress func(sim.Progress)
-	// Procs, when > 0, executes the fleet experiment across supervised
-	// worker OS processes (internal/shardexec) instead of the in-process
-	// pool; the resulting table is byte-identical.
-	Procs int
-	// WorkerArgv/WorkerEnv forward to shardexec.Options when Procs > 0:
-	// the worker command line (empty means this executable with
-	// -shardworker) and extra child environment entries.
-	WorkerArgv []string
-	WorkerEnv  []string
+	// Exec.Workers bounds every experiment's sim pool (≤ 0 means
+	// GOMAXPROCS). The fleet and tournament experiments run their
+	// fleets through Exec, across supervised worker processes when
+	// Exec.Procs > 0; their tables are byte-identical either way.
+	Exec shardexec.Options
 }
 
 // runOpts forwards the pool tuning to the parallel runner.
 func (o Options) runOpts() sim.RunAllOptions {
-	return sim.RunAllOptions{Workers: o.Workers, Progress: o.Progress}
+	return sim.RunAllOptions{Workers: o.Exec.Workers, Progress: o.Progress}
 }
 
 func (o Options) withDefaults() Options {

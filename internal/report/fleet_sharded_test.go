@@ -11,7 +11,7 @@ import (
 )
 
 // TestMain lets the test binary double as the shard worker: the sharded
-// fleet test points Options.WorkerArgv back at this binary, and the env
+// fleet test points Options.Exec.WorkerArgv back at this binary, and the env
 // marker routes the re-executed child into the worker entry point.
 func TestMain(m *testing.M) {
 	if os.Getenv("REPORT_TEST_SHARDWORKER") == "1" {
@@ -31,9 +31,9 @@ func TestFleetShardedMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts.Procs = 2
-	opts.WorkerArgv = []string{os.Args[0]}
-	opts.WorkerEnv = []string{"REPORT_TEST_SHARDWORKER=1"}
+	opts.Exec = shardexec.Options{Procs: 2,
+		WorkerArgv: []string{os.Args[0]},
+		WorkerEnv:  []string{"REPORT_TEST_SHARDWORKER=1"}}
 	sharded, err := Fleet(opts)
 	if err != nil {
 		t.Fatal(err)

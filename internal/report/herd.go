@@ -60,7 +60,7 @@ func Herd(o Options) (*Table, error) {
 	var rows []row
 	for _, testPolicy := range []string{"SIMTY", "SIMTY-J"} {
 		spec := herdSpec(o, devices, testPolicy)
-		r, err := fleet.Run(context.Background(), spec, fleet.Options{Workers: o.Workers})
+		r, err := fleet.Run(context.Background(), spec, fleet.Options{Workers: o.Exec.Workers})
 		if err != nil {
 			return nil, err
 		}

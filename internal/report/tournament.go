@@ -12,8 +12,8 @@ import (
 // Tournament runs the cross-regime policy competition: every registered
 // entrant (plus the NATIVE base) simulates the same fleets across the
 // steady, diurnal, and sync-heavy regimes, and the per-regime fleet
-// summaries are ranked into overall standings. With Options.Procs > 0
-// each fleet shards across supervised worker processes; the table is
+// summaries are ranked into overall standings. With Options.Exec.Procs
+// > 0 each fleet shards across supervised worker processes; the table is
 // byte-identical either way.
 func Tournament(o Options) (*Table, error) {
 	// Like the herd experiment, the tournament defaults far smaller than
@@ -26,12 +26,7 @@ func Tournament(o Options) (*Table, error) {
 	o = o.withDefaults()
 
 	spec := tournament.Spec{Seed: o.Seed, Devices: devices}
-	topts := tournament.Options{
-		Workers:    o.Workers,
-		Procs:      o.Procs,
-		WorkerArgv: o.WorkerArgv,
-		WorkerEnv:  o.WorkerEnv,
-	}
+	topts := tournament.Options{Exec: o.Exec}
 	if o.Progress != nil {
 		topts.Progress = func(regime, policy string, done, total int) {
 			o.Progress(sim.Progress{Done: done, Total: total,

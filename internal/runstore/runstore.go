@@ -160,6 +160,9 @@ type Store struct {
 	// sem bounds concurrent executions; wg tracks them for Drain.
 	sem chan struct{}
 	wg  sync.WaitGroup
+	// start launches one execution: a new goroutine, or a synchronous
+	// call when a test needs the execution to finish inside Submit.
+	start func(func())
 }
 
 // DefaultMaxConcurrent bounds simultaneous executions when New is given
@@ -177,6 +180,7 @@ func New(maxConcurrent int) *Store {
 	return &Store{
 		entries: make(map[string]*entry),
 		sem:     make(chan struct{}, maxConcurrent),
+		start:   func(f func()) { go f() },
 	}
 }
 
@@ -201,10 +205,13 @@ func (s *Store) Submit(kind string, exec Exec) (Run, error) {
 	}
 	s.entries[id] = e
 	s.wg.Add(1)
+	// The pending snapshot must be taken before the execution starts:
+	// afterwards the entry may already be running or finished.
+	pending := e.run
 	s.mu.Unlock()
 
-	go s.execute(e, exec)
-	return e.snapshot(), nil
+	s.start(func() { s.execute(e, exec) })
+	return pending, nil
 }
 
 func kindPrefix(kind string) string {

@@ -54,6 +54,26 @@ func TestLifecycleDone(t *testing.T) {
 	}
 }
 
+// TestSubmitReturnsPendingSnapshot: Submit's snapshot is the entry in
+// pending state even when the execution finishes before Submit returns
+// — here deterministically, by running it synchronously.
+func TestSubmitReturnsPendingSnapshot(t *testing.T) {
+	s := New(1)
+	s.start = func(f func()) { f() }
+	r, err := s.Submit("run", func(ctx context.Context, h Handle) (any, error) {
+		return "outcome", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.State != StatePending || r.Result != nil || !r.Started.IsZero() {
+		t.Fatalf("Submit returned %+v, want the pending entry", r)
+	}
+	if got, _ := s.Get(r.ID); got.State != StateDone {
+		t.Fatalf("synchronous execution left the run %s, want done", got.State)
+	}
+}
+
 func TestLifecycleFailedKeepsPartialResult(t *testing.T) {
 	s := New(1)
 	boom := errors.New("shard 3 exploded")

@@ -26,6 +26,7 @@ import (
 	"io"
 
 	"repro/internal/fleet"
+	"repro/internal/strictjson"
 )
 
 // ManifestVersion is the worker protocol version. A worker refuses a
@@ -111,9 +112,7 @@ func (m Manifest) Validate() error {
 // computes.
 func ParseManifest(r io.Reader) (Manifest, error) {
 	var m Manifest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := strictjson.Decode(r, &m); err != nil {
 		return Manifest{}, fmt.Errorf("shardexec: decode manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {

@@ -64,10 +64,8 @@ func TestManifestValidation(t *testing.T) {
 	}
 }
 
-// TestParseManifestRejectsBadInput: not JSON, unknown fields, trailing
-// garbage-after-object is tolerated by json.Decoder only if it never
-// reads it — the decode stops at the object end, which is fine for a
-// stdin pipe that closes after the manifest.
+// TestParseManifestRejectsBadInput: not JSON, unknown fields, an empty
+// manifest, and anything after the manifest object.
 func TestParseManifestRejectsBadInput(t *testing.T) {
 	if _, err := ParseManifest(strings.NewReader("not json")); err == nil {
 		t.Error("non-JSON manifest accepted")
@@ -77,6 +75,18 @@ func TestParseManifestRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ParseManifest(strings.NewReader(`{}`)); err == nil {
 		t.Error("empty manifest accepted")
+	}
+	blob, err := validManifest().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseManifest(bytes.NewReader(append(blob, "\n"...))); err != nil {
+		t.Errorf("manifest with trailing newline rejected: %v", err)
+	}
+	for _, tail := range []string{" garbage", string(blob)} {
+		if _, err := ParseManifest(bytes.NewReader(append(append([]byte{}, blob...), tail...))); err == nil {
+			t.Errorf("manifest followed by %q accepted", tail)
+		}
 	}
 }
 
@@ -95,6 +105,7 @@ func FuzzManifestJSON(f *testing.F) {
 	f.Add([]byte(`{"version": 1}`))
 	f.Add([]byte(`{"version": 1, "spec": {"devices": 4}, "lo": 0, "hi": 4}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"version": 1} garbage`))
 	f.Add([]byte(`{"version": 1, "lo": -5, "hi": -1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseManifest(bytes.NewReader(data))

@@ -8,13 +8,13 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/sim"
 )
 
 // Defaults for the supervisor knobs.
@@ -37,57 +37,76 @@ const (
 	DefaultCheckpointEvery = 1
 )
 
-// Options tune a supervised multi-process fleet run.
+// Options tune a fleet run. Procs chooses the execution: 0 runs the
+// fleet in this process on the fleet.Run pool, > 0 supervises that many
+// worker processes. The fields marked "worker processes only" are
+// ignored in-process, except Checkpoint, Resume and WorkerTimeout, which
+// are errors there.
 type Options struct {
-	// Procs bounds concurrently running worker processes; ≤ 0 means
-	// GOMAXPROCS (and never more than the shard count).
+	// Procs bounds concurrently running worker processes (never more
+	// than the shard count); 0 means in-process, < 0 is an error.
 	Procs int
 	// ShardSize is the device range per worker process; ≤ 0 means
 	// DefaultShardSize. A resumed run must use the checkpoint's value.
+	// Worker processes only.
 	ShardSize int
-	// Workers bounds each worker's in-process sim pool; ≤ 0 lets the
-	// worker use its GOMAXPROCS.
+	// Workers bounds the sim pool — this process's in-process, each
+	// worker's otherwise; ≤ 0 means GOMAXPROCS of the process running
+	// the pool.
 	Workers int
 	// WorkerTimeout is the per-attempt deadline; a worker still running
 	// when it expires is killed and the attempt counts as failed. ≤ 0
-	// means no deadline.
+	// means no deadline. Worker processes only.
 	WorkerTimeout time.Duration
 	// MaxAttempts is how many times one shard may run before being
-	// quarantined; ≤ 0 means DefaultMaxAttempts.
+	// quarantined; ≤ 0 means DefaultMaxAttempts. Worker processes only.
 	MaxAttempts int
 	// RetryBackoff is the pause before a shard's first retry, doubling
-	// per retry (capped); ≤ 0 means DefaultRetryBackoff.
+	// per retry (capped); ≤ 0 means DefaultRetryBackoff. Worker
+	// processes only.
 	RetryBackoff time.Duration
 	// Checkpoint, when non-empty, is the path of the append-only
 	// checkpoint log. An interrupted run restarted with Resume re-runs
-	// only the shards the log is missing.
+	// only the shards the log is missing. Worker processes only.
 	Checkpoint string
 	// Resume loads an existing checkpoint at Checkpoint instead of
 	// truncating it. The log's spec hash, device count, and shard size
-	// must match. A missing or empty file starts fresh.
+	// must match. A missing or empty file starts fresh. Worker
+	// processes only.
 	Resume bool
 	// CheckpointEvery is how many merged shards separate aggregate-state
-	// records in the log; ≤ 0 means DefaultCheckpointEvery.
+	// records in the log; ≤ 0 means DefaultCheckpointEvery. Worker
+	// processes only.
 	CheckpointEvery int
 	// WorkerArgv is the child command line; empty means the current
 	// executable with the single argument "-shardworker" (the wakesim
-	// protocol). Tests point this at a re-executed test binary.
+	// protocol). Tests point this at a re-executed test binary. Worker
+	// processes only.
 	WorkerArgv []string
 	// WorkerEnv entries are appended to the parent environment for each
-	// worker.
+	// worker. Worker processes only.
 	WorkerEnv []string
-	// Progress, when non-nil, is called after each shard merge with
-	// devices merged so far and the fleet size. Calls arrive in merge
-	// (device) order from the supervisor goroutine.
+	// Progress, when non-nil, is called with the devices folded so far
+	// and the fleet size: after every device in-process, after every
+	// shard merge with worker processes. Calls arrive in device order
+	// from one goroutine.
 	Progress func(done, total int)
-	// Snapshot, when non-nil, receives a Summary of the merged prefix
-	// every SnapshotEvery merged shards and after the final merge.
+	// RunProgress, when non-nil, receives every simulation run's
+	// completion in fleet-global coordinates (fleet.Options.RunProgress).
+	// In-process only: worker processes report whole shards.
+	RunProgress func(sim.Progress)
+	// Snapshot, when non-nil, receives a Summary of the folded device
+	// prefix each time the folded-device count reaches or crosses a
+	// multiple of SnapshotEvery, and after the last device.
 	Snapshot func(done, total int, s fleet.Summary)
-	// SnapshotEvery is in merged shards; ≤ 0 means every merge.
+	// SnapshotEvery is in devices; ≤ 0 means fleet.DefaultSnapshotEvery.
+	// With worker processes a snapshot can only follow a shard merge, so
+	// one merge that crosses several multiples emits one snapshot.
 	SnapshotEvery int
 	// OnShard, when non-nil, observes the per-shard lifecycle (start,
 	// ok, retry, quarantine, cached). Calls may arrive from worker
-	// goroutines; they are serialized by an internal lock.
+	// goroutines; they are serialized by an internal lock. Worker
+	// processes only.
 	OnShard func(ev ShardEvent)
 }
 
@@ -102,7 +121,9 @@ type ShardEvent struct {
 	Err string
 }
 
-// Result is a finished (or partially finished) supervised run.
+// Result is a finished (or partially finished) fleet run. The
+// worker-process counters, Shards through Quarantined, stay zero
+// in-process.
 type Result struct {
 	Spec fleet.Spec
 	// Agg holds the merged aggregate: the whole fleet on success, the
@@ -134,20 +155,46 @@ type shardResult struct {
 	skipped bool
 }
 
-// Run executes the spec's fleet across worker processes and merges the
-// shard results in device order, so the Summary of the returned
-// aggregate is byte-identical to a single-process fleet.Run of the same
-// spec — regardless of Procs, ShardSize, worker crashes, retries, or a
-// checkpoint resume in the middle.
+// Run executes the spec's fleet — in this process when opts.Procs is 0,
+// across supervised worker processes when it is positive — and is the
+// one place that choice is made. Worker shard results are merged in
+// device order, so the Summary of the returned aggregate is
+// byte-identical to an in-process run of the same spec regardless of
+// Procs, ShardSize, worker crashes, retries, or a checkpoint resume in
+// the middle.
 //
-// Error contract (mirroring fleet.Run): a quarantined shard or a
-// cancelled context returns the partial *Result alongside the error —
-// the aggregate holds the longest contiguous device prefix, and the
-// error joins every quarantined shard's attempt errors. Cancellation is
-// classified: errors.Is(err, context.Canceled) (or DeadlineExceeded)
-// identifies a caller abort rather than a shard failure. Only a spec or
-// options failure returns a nil Result.
+// Error contract (fleet.Run's, in both modes): a failed or quarantined
+// shard or a cancelled context returns the partial *Result alongside
+// the error — the aggregate holds the longest contiguous device prefix,
+// and with worker processes the error joins every quarantined shard's
+// attempt errors. Cancellation is classified: errors.Is(err,
+// context.Canceled) (or DeadlineExceeded) identifies a caller abort
+// rather than a shard failure. Only a spec or options failure returns a
+// nil Result.
 func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
+	switch {
+	case opts.Procs < 0:
+		return nil, fmt.Errorf("shardexec: Procs %d: want 0 (in-process) or a positive process count", opts.Procs)
+	case opts.Procs > 0:
+		return supervise(ctx, spec, opts)
+	case opts.Checkpoint != "" || opts.Resume || opts.WorkerTimeout > 0:
+		return nil, errors.New("shardexec: Checkpoint, Resume and WorkerTimeout need worker processes (Procs > 0)")
+	}
+	r, err := fleet.Run(ctx, spec, fleet.Options{
+		Workers:       opts.Workers,
+		Progress:      opts.Progress,
+		RunProgress:   opts.RunProgress,
+		Snapshot:      opts.Snapshot,
+		SnapshotEvery: opts.SnapshotEvery,
+	})
+	if r == nil {
+		return nil, err
+	}
+	return &Result{Spec: r.Spec, Agg: r.Agg, Wall: r.Wall}, err
+}
+
+// supervise is Run across opts.Procs worker processes.
+func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	start := time.Now()
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -171,7 +218,7 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	}
 	snapEvery := opts.SnapshotEvery
 	if snapEvery <= 0 {
-		snapEvery = 1
+		snapEvery = fleet.DefaultSnapshotEvery
 	}
 	argv := opts.WorkerArgv
 	if len(argv) == 0 {
@@ -183,13 +230,7 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	}
 
 	shards := (spec.Devices + shardSize - 1) / shardSize
-	procs := opts.Procs
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	if procs > shards {
-		procs = shards
-	}
+	procs := min(opts.Procs, shards)
 
 	var onShardMu sync.Mutex
 	emit := func(ev ShardEvent) {
@@ -284,6 +325,7 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 			if !ok {
 				return
 			}
+			before := res.Agg.Devices()
 			if err := res.Agg.MergeShard(sa); err != nil {
 				// A merge failure is a supervisor bug or a poisoned
 				// checkpoint; surface it and stop merging.
@@ -300,8 +342,8 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 			if opts.Progress != nil {
 				opts.Progress(res.Agg.Devices(), spec.Devices)
 			}
-			if opts.Snapshot != nil && (merged%snapEvery == 0 || merged == shards) {
-				opts.Snapshot(res.Agg.Devices(), spec.Devices, res.Agg.Summary())
+			if n := res.Agg.Devices(); opts.Snapshot != nil && (n/snapEvery > before/snapEvery || merged == shards) {
+				opts.Snapshot(n, spec.Devices, res.Agg.Summary())
 			}
 			if ck != nil && (sinceState >= ckEvery || merged == shards) {
 				if err := ck.appendState(merged, res.Agg.EncodeState()); err != nil && mergeErr == nil {

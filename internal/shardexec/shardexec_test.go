@@ -7,6 +7,8 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/fleet"
+	"repro/internal/sim"
 )
 
 // The supervisor tests need real worker processes to kill, hang, and
@@ -118,8 +121,9 @@ func testWorkerMain() int {
 	return 0
 }
 
-// testOptions builds supervisor options that re-exec this test binary
-// as the worker, with the given faults installed.
+// testOptions builds supervisor options for two worker processes that
+// re-exec this test binary as the worker, with the given faults
+// installed.
 func testOptions(t *testing.T, faults map[string]fault) Options {
 	t.Helper()
 	env := []string{"SHARDEXEC_TEST_WORKER=1"}
@@ -133,6 +137,7 @@ func testOptions(t *testing.T, faults map[string]fault) Options {
 		env = append(env, "SHARDEXEC_FAULTS=")
 	}
 	return Options{
+		Procs:        2,
 		WorkerArgv:   []string{os.Args[0]},
 		WorkerEnv:    env,
 		RetryBackoff: 10 * time.Millisecond,
@@ -337,5 +342,75 @@ func TestRunCancellationClassified(t *testing.T) {
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	if res, err := Run(context.Background(), fleet.Spec{}, testOptions(t, nil)); err == nil || res != nil {
 		t.Fatalf("invalid spec returned (%v, %v), want (nil, error)", res, err)
+	}
+}
+
+// TestRunChoosesExecution pins Run as the one place the execution is
+// chosen: Procs 0 runs in-process with Summary bytes equal to fleet.Run
+// and to worker processes, forwarding Progress, RunProgress and
+// Snapshot (SnapshotEvery in devices in both modes); options that need
+// worker processes, and any negative Procs, are rejected with a nil
+// Result before anything runs.
+func TestRunChoosesExecution(t *testing.T) {
+	spec := testSpec(true) // 20 devices
+	want := cleanSummary(t, spec)
+	sharded := testOptions(t, nil)
+	sharded.ShardSize = 6 // merges at 6, 12, 18 and 20 devices
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	cases := []struct {
+		name           string
+		opts           Options
+		progress, runs int
+		snapshots      []int
+		wantErr        bool
+	}{
+		{name: "in-process", progress: 20, runs: 40, snapshots: []int{8, 16, 20}},
+		{name: "in-process/workers=1", opts: Options{Workers: 1}, progress: 20, runs: 40, snapshots: []int{8, 16, 20}},
+		{name: "procs=2", opts: sharded, progress: 4, snapshots: []int{12, 18, 20}},
+		{name: "in-process/checkpoint", opts: Options{Checkpoint: ckpt}, wantErr: true},
+		{name: "in-process/resume", opts: Options{Resume: true}, wantErr: true},
+		{name: "in-process/worker-timeout", opts: Options{WorkerTimeout: time.Minute}, wantErr: true},
+		{name: "procs=-1", opts: Options{Procs: -1}, wantErr: true},
+		{name: "procs=-8/checkpoint", opts: Options{Procs: -8, Checkpoint: ckpt}, wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var progress, runs int
+			var snapshots []int
+			var last fleet.Summary
+			opts := tc.opts
+			opts.SnapshotEvery = 8
+			opts.Progress = func(done, total int) { progress++ }
+			opts.RunProgress = func(sim.Progress) { runs++ }
+			opts.Snapshot = func(done, total int, s fleet.Summary) {
+				snapshots = append(snapshots, done)
+				last = s
+			}
+			res, err := Run(context.Background(), spec, opts)
+			if tc.wantErr {
+				if err == nil || res != nil {
+					t.Fatalf("Run = (%v, %v), want (nil, error)", res, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultSummary(t, res); !bytes.Equal(got, want) {
+				t.Fatalf("summary diverged from fleet.Run:\n got %s\nwant %s", got, want)
+			}
+			if progress != tc.progress || runs != tc.runs {
+				t.Fatalf("progress=%d runs=%d, want %d and %d", progress, runs, tc.progress, tc.runs)
+			}
+			if !slices.Equal(snapshots, tc.snapshots) {
+				t.Fatalf("snapshots at %v devices, want %v", snapshots, tc.snapshots)
+			}
+			if blob, _ := json.Marshal(last); !bytes.Equal(blob, want) {
+				t.Fatal("final snapshot differs from the result summary")
+			}
+		})
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a rejected run touched its checkpoint: %v", err)
 	}
 }

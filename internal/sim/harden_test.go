@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/alarm"
 	"repro/internal/apps"
@@ -125,80 +124,6 @@ func TestRunAllAggregateJoinsAllErrors(t *testing.T) {
 	}
 	if i0, i2 := strings.Index(msg, "run 0"), strings.Index(msg, "run 2"); i0 > i2 {
 		t.Errorf("failures not joined in input order: %v", err)
-	}
-}
-
-// TestRunTimeout: a run exceeding RunTimeout fails with ErrRunTimeout;
-// the abandoned goroutine's late result is discarded harmlessly.
-func TestRunTimeout(t *testing.T) {
-	opts := RunAllOptions{RunTimeout: 5 * time.Millisecond}
-	_, err := runIsolated(opts, func() (int, error) {
-		time.Sleep(time.Second)
-		return 1, nil
-	})
-	if !errors.Is(err, ErrRunTimeout) {
-		t.Fatalf("err = %v, want ErrRunTimeout", err)
-	}
-
-	// A fast run under the same deadline is untouched.
-	v, err := runIsolated(opts, func() (int, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("fast run: %v, %v", v, err)
-	}
-}
-
-// TestRetryTransientErrors: runs whose errors Retryable marks transient
-// re-execute up to Retries times; success on a later attempt wins, and
-// non-retryable errors fail immediately.
-func TestRetryTransientErrors(t *testing.T) {
-	transient := errors.New("transient")
-	opts := RunAllOptions{
-		Retries:      3,
-		RetryBackoff: time.Microsecond,
-		Retryable:    func(err error) bool { return errors.Is(err, transient) },
-	}
-
-	attempts := 0
-	v, err := runIsolated(opts, func() (string, error) {
-		attempts++
-		if attempts < 3 {
-			return "", transient
-		}
-		return "ok", nil
-	})
-	if err != nil || v != "ok" || attempts != 3 {
-		t.Fatalf("retry loop: v=%q err=%v attempts=%d", v, err, attempts)
-	}
-
-	// Exhausted retries surface the last error.
-	attempts = 0
-	_, err = runIsolated(opts, func() (string, error) {
-		attempts++
-		return "", transient
-	})
-	if !errors.Is(err, transient) || attempts != opts.Retries+1 {
-		t.Fatalf("exhausted retries: err=%v attempts=%d", err, attempts)
-	}
-
-	// Non-retryable errors never retry.
-	attempts = 0
-	permanent := errors.New("permanent")
-	_, err = runIsolated(opts, func() (string, error) {
-		attempts++
-		return "", permanent
-	})
-	if !errors.Is(err, permanent) || attempts != 1 {
-		t.Fatalf("permanent error retried: err=%v attempts=%d", err, attempts)
-	}
-
-	// With no Retryable predicate nothing retries, even with Retries set.
-	attempts = 0
-	_, err = runIsolated(RunAllOptions{Retries: 3}, func() (string, error) {
-		attempts++
-		return "", transient
-	})
-	if err == nil || attempts != 1 {
-		t.Fatalf("nil Retryable retried: err=%v attempts=%d", err, attempts)
 	}
 }
 

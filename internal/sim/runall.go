@@ -37,8 +37,7 @@ type Progress struct {
 }
 
 // RunAllOptions tunes the parallel runner. The zero value uses
-// GOMAXPROCS workers, first-error semantics, no per-run timeout, no
-// retries, and no progress callback.
+// GOMAXPROCS workers, first-error semantics, and no progress callback.
 type RunAllOptions struct {
 	// Workers bounds the worker pool; values ≤ 0 mean
 	// runtime.GOMAXPROCS(0).
@@ -53,27 +52,7 @@ type RunAllOptions struct {
 	// error joins every per-run error in input order (errors.Join).
 	// One poisoned run can then never take down the batch.
 	Aggregate bool
-	// RunTimeout bounds one run's wall time; zero means unbounded. A
-	// run that exceeds it fails with ErrRunTimeout. The abandoned
-	// goroutine keeps simulating — its private clock and device cannot
-	// be interrupted — but its result is discarded, so a hung run costs
-	// one leaked goroutine, not the batch.
-	RunTimeout time.Duration
-	// Retries is how many times a failed run is re-executed when
-	// Retryable marks its error transient.
-	Retries int
-	// RetryBackoff is the sleep before retry k, scaled linearly by k;
-	// zero means 10 ms.
-	RetryBackoff time.Duration
-	// Retryable, when non-nil, reports whether an error is transient
-	// and worth retrying (timeouts and panics are passed in too; a nil
-	// Retryable retries nothing). Simulation runs are deterministic, so
-	// this mainly serves harnesses whose runs touch external state.
-	Retryable func(error) bool
 }
-
-// ErrRunTimeout marks a run abandoned after RunAllOptions.RunTimeout.
-var ErrRunTimeout = errors.New("run exceeded timeout")
 
 // PanicError is a panic recovered from a poisoned run, converted into
 // that run's error so the rest of the batch survives. Stack holds the
@@ -89,9 +68,8 @@ func (e *PanicError) Error() string {
 
 // RunAll executes every configuration on a bounded worker pool and
 // returns the results in input order. Every run executes isolated: a
-// panic becomes that run's *PanicError (stack attached) and a run
-// exceeding opts.RunTimeout fails with ErrRunTimeout, so one poisoned
-// configuration cannot take down the batch or the process.
+// panic becomes that run's *PanicError (stack attached), so one
+// poisoned configuration cannot take down the batch or the process.
 //
 // In the default first-error mode, the first failed run cancels the
 // pool — runs already in flight finish, no new runs start — and its
@@ -102,7 +80,7 @@ func (e *PanicError) Error() string {
 func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	err := runPool(ctx, len(cfgs), opts, func(i int) (string, error) {
-		r, err := runIsolated(opts, func() (*Result, error) { return Run(cfgs[i]) })
+		r, err := runIsolated(func() (*Result, error) { return Run(cfgs[i]) })
 		if err != nil {
 			return runLabel(cfgs[i]), fmt.Errorf("sim: run %d (%s): %w", i, runLabel(cfgs[i]), err)
 		}
@@ -122,7 +100,7 @@ func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, 
 func RunToEmptyAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*DrainResult, error) {
 	results := make([]*DrainResult, len(cfgs))
 	err := runPool(ctx, len(cfgs), opts, func(i int) (string, error) {
-		d, err := runIsolated(opts, func() (*DrainResult, error) { return RunToEmpty(cfgs[i]) })
+		d, err := runIsolated(func() (*DrainResult, error) { return RunToEmpty(cfgs[i]) })
 		if err != nil {
 			return runLabel(cfgs[i]), fmt.Errorf("sim: drain %d (%s): %w", i, runLabel(cfgs[i]), err)
 		}
@@ -215,65 +193,16 @@ func runLabel(c Config) string {
 	return pol
 }
 
-// runIsolated executes one run in its own goroutine so a poisoned run
-// cannot take down the batch: panics are recovered into *PanicError
-// with the stack attached, opts.RunTimeout converts a hung run into
-// ErrRunTimeout (the abandoned goroutine's result is discarded — it
-// only ever writes its private buffered channel, never shared state),
-// and errors opts.Retryable marks transient are retried up to
-// opts.Retries times with linear backoff.
-func runIsolated[T any](opts RunAllOptions, run func() (T, error)) (T, error) {
-	var zero T
-	var err error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			backoff := opts.RetryBackoff
-			if backoff <= 0 {
-				backoff = 10 * time.Millisecond
-			}
-			time.Sleep(time.Duration(attempt) * backoff)
+// runIsolated executes one run on the calling pool worker so a
+// poisoned run cannot take down the batch: a panic is recovered into
+// that run's *PanicError with the stack attached.
+func runIsolated[T any](run func() (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
-		var v T
-		v, err = runAttempt(opts.RunTimeout, run)
-		if err == nil {
-			return v, nil
-		}
-		if attempt >= opts.Retries || opts.Retryable == nil || !opts.Retryable(err) {
-			return zero, err
-		}
-	}
-}
-
-// runAttempt is one isolated execution: goroutine, panic recovery,
-// optional deadline.
-func runAttempt[T any](timeout time.Duration, run func() (T, error)) (T, error) {
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: &PanicError{Value: r, Stack: debug.Stack()}}
-			}
-		}()
-		v, err := run()
-		ch <- outcome{v: v, err: err}
 	}()
-	if timeout <= 0 {
-		o := <-ch
-		return o.v, o.err
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-t.C:
-		var zero T
-		return zero, fmt.Errorf("%w (%v)", ErrRunTimeout, timeout)
-	}
+	return run()
 }
 
 // runPool is the bounded-worker scaffolding under RunAll,

@@ -26,6 +26,7 @@ func FuzzTournamentSpec(f *testing.F) {
 	f.Add([]byte(`{"devices": 9999999999}`))
 	f.Add([]byte(`{"devices": 2, "regimes": [{"name": "x", "catalog": "nope"}]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"devices": 4}{"devices": 4}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ReadSpec(bytes.NewReader(data))
 		if err != nil {

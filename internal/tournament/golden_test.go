@@ -41,14 +41,14 @@ func TestScoreboardGoldenAcrossWorkersAndProcs(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"workers=1", Options{Workers: 1}},
-		{"workers=4", Options{Workers: 4}},
-		{"procs=2", Options{Procs: 2, ShardSize: 2,
+		{"workers=1", Options{Exec: shardexec.Options{Workers: 1}}},
+		{"workers=4", Options{Exec: shardexec.Options{Workers: 4}}},
+		{"procs=2", Options{Exec: shardexec.Options{Procs: 2, ShardSize: 2,
 			WorkerArgv: []string{os.Args[0]},
-			WorkerEnv:  []string{"TOURNAMENT_TEST_SHARDWORKER=1"}}},
-		{"procs=2/shard=4", Options{Procs: 2, ShardSize: 4, Workers: 2,
+			WorkerEnv:  []string{"TOURNAMENT_TEST_SHARDWORKER=1"}}}},
+		{"procs=2/shard=4", Options{Exec: shardexec.Options{Procs: 2, ShardSize: 4, Workers: 2,
 			WorkerArgv: []string{os.Args[0]},
-			WorkerEnv:  []string{"TOURNAMENT_TEST_SHARDWORKER=1"}}},
+			WorkerEnv:  []string{"TOURNAMENT_TEST_SHARDWORKER=1"}}}},
 	}
 	var golden []byte
 	for _, shape := range shapes {

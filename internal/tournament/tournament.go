@@ -14,7 +14,6 @@ package tournament
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/shardexec"
 	"repro/internal/sim"
+	"repro/internal/strictjson"
 )
 
 // Regime is one workload column of the tournament matrix: the
@@ -167,9 +167,7 @@ func (s Spec) Validate() error {
 // ReadSpec parses and validates a JSON tournament spec.
 func ReadSpec(r io.Reader) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(r, &s); err != nil {
 		return Spec{}, fmt.Errorf("tournament: decode spec: %w", err)
 	}
 	if err := s.WithDefaults().Validate(); err != nil {
@@ -256,17 +254,9 @@ type Scoreboard struct {
 // Options tune tournament execution; none of them affect the
 // scoreboard's bytes.
 type Options struct {
-	// Workers bounds each fleet run's sim pool; ≤ 0 means GOMAXPROCS.
-	Workers int
-	// Procs, when > 0, executes each fleet across supervised worker OS
-	// processes (internal/shardexec) instead of the in-process pool.
-	Procs int
-	// ShardSize is the per-process device range when Procs > 0; ≤ 0
-	// means shardexec.DefaultShardSize.
-	ShardSize int
-	// WorkerArgv/WorkerEnv forward to shardexec.Options when Procs > 0.
-	WorkerArgv []string
-	WorkerEnv  []string
+	// Exec runs each cell's fleet: in-process, or across supervised
+	// worker processes when Exec.Procs > 0.
+	Exec shardexec.Options
 	// Progress, when non-nil, is called after each (regime, policy)
 	// cell completes with the cells done so far and the matrix size.
 	Progress func(regime, policy string, done, total int)
@@ -292,11 +282,11 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 			Hours:  spec.fleetSpec(reg, spec.Policies[0]).WithDefaults().Hours,
 		}
 		for pi, policy := range spec.Policies {
-			agg, err := runFleet(ctx, spec.fleetSpec(reg, policy), opts)
+			r, err := shardexec.Run(ctx, spec.fleetSpec(reg, policy), opts.Exec)
 			if err != nil {
 				return nil, fmt.Errorf("tournament: regime %q, policy %s: %w", reg.Name, policy, err)
 			}
-			s := agg.Summary()
+			s := r.Agg.Summary()
 			if pi == 0 {
 				rr.Cells = append(rr.Cells, makeCell(spec.Base, s.Base))
 			}
@@ -311,29 +301,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 	}
 	sb.Standings = standings(sb.Regimes)
 	return sb, nil
-}
-
-// runFleet executes one cell's fleet, in-process or sharded across
-// worker processes; the aggregate is byte-identical either way.
-func runFleet(ctx context.Context, fs fleet.Spec, opts Options) (*fleet.Aggregate, error) {
-	if opts.Procs > 0 {
-		r, err := shardexec.Run(ctx, fs, shardexec.Options{
-			Procs:      opts.Procs,
-			ShardSize:  opts.ShardSize,
-			Workers:    opts.Workers,
-			WorkerArgv: opts.WorkerArgv,
-			WorkerEnv:  opts.WorkerEnv,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return r.Agg, nil
-	}
-	r, err := fleet.Run(ctx, fs, fleet.Options{Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return r.Agg, nil
 }
 
 func makeCell(policy string, s fleet.PolicySummary) Cell {

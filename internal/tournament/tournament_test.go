@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/shardexec"
 )
 
 // smallSpec is a tournament sized for unit tests: two tiny regimes,
@@ -73,6 +75,8 @@ func TestReadSpec(t *testing.T) {
 		`{"devices": 0}`,
 		`{"devices": 2, "regimes": [{"name": ""}]}`,
 		`not json`,
+		`{"devices": 2} garbage`,
+		`{"devices": 2}{"devices": 3}`,
 	} {
 		if _, err := ReadSpec(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted %q", bad)
@@ -143,11 +147,11 @@ func TestRunSmallTournament(t *testing.T) {
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	spec := smallSpec()
-	a, err := Run(context.Background(), spec, Options{Workers: 1})
+	a, err := Run(context.Background(), spec, Options{Exec: shardexec.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), spec, Options{Workers: 4})
+	b, err := Run(context.Background(), spec, Options{Exec: shardexec.Options{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/power"
+	"repro/internal/shardexec"
 	"repro/internal/sim"
 	"repro/internal/simclock"
 	"repro/internal/tournament"
@@ -61,7 +62,7 @@ type (
 	// Profile is a device power model.
 	Profile = power.Profile
 	// RunAllOptions tunes the parallel experiment runner (worker count,
-	// progress callback, aggregate-error mode, per-run timeout, retries).
+	// progress callback, aggregate-error mode).
 	RunAllOptions = sim.RunAllOptions
 	// RunProgress reports one finished run to a progress callback.
 	RunProgress = sim.Progress
@@ -129,6 +130,10 @@ type (
 	// TournamentOptions tunes tournament execution (worker pool, worker
 	// processes); none of its fields affect the scoreboard's bytes.
 	TournamentOptions = tournament.Options
+	// FleetExecOptions chooses how a tournament's fleets execute
+	// (TournamentOptions.Exec): in-process when Procs is 0, across
+	// supervised worker processes when it is positive.
+	FleetExecOptions = shardexec.Options
 	// Scoreboard is a finished tournament: ranked per-regime columns
 	// plus overall standings, byte-identical for a fixed spec.
 	Scoreboard = tournament.Scoreboard
@@ -154,9 +159,6 @@ const (
 	// LeakNever never releases the wakelock.
 	LeakNever = fault.LeakNever
 )
-
-// ErrRunTimeout marks a run abandoned after RunAllOptions.RunTimeout.
-var ErrRunTimeout = sim.ErrRunTimeout
 
 // DefaultBeta is the paper's grace factor (0.96).
 const DefaultBeta = sim.DefaultBeta
