@@ -38,8 +38,8 @@ GO ?= go
 KERNELBENCH = ./internal/simclock/ -run '^$$' -bench '^BenchmarkKernel' -benchmem
 BACKENDBENCH = ./internal/backend/ -run '^$$' -bench '^BenchmarkBackend' -benchmem
 # Shard-aggregate serialization (the multi-process supervisor's wire
-# format: framed encode/decode + checkpoint state round-trip).
-SHARDBENCH = ./internal/fleet/ -run '^$$' -bench '^Benchmark(EncodeShard|DecodeShard|StateRoundTrip)$$' -benchmem
+# format: framed encode, and decode with validation).
+SHARDBENCH = ./internal/fleet/ -run '^$$' -bench '^Benchmark(EncodeShard|DecodeShard)$$' -benchmem
 BENCHCOUNT ?= 10
 
 # Fuzz budget per target in the verify smoke (Go runs one fuzz target
@@ -56,6 +56,7 @@ verify: vet build
 	$(GO) test ./internal/apps/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/alarm/ -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzFleetSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simclock/ -run '^$$' -fuzz '^FuzzClockPool$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzManifestJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tournament/ -run '^$$' -fuzz '^FuzzTournamentSpec$$' -fuzztime $(FUZZTIME)
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/apps/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 2m
 	$(GO) test ./internal/alarm/ -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime 2m
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzFleetSpec$$' -fuzztime 2m
+	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime 2m
 	$(GO) test ./internal/simclock/ -run '^$$' -fuzz '^FuzzClockPool$$' -fuzztime 2m
 	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzManifestJSON$$' -fuzztime 2m
 	$(GO) test ./internal/tournament/ -run '^$$' -fuzz '^FuzzTournamentSpec$$' -fuzztime 2m

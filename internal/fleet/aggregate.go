@@ -7,9 +7,10 @@ import (
 )
 
 // Dist is the JSON snapshot of one metric's distribution across the
-// fleet: Welford moments plus P² quantile estimates. At fleet scale the
-// per-device values are never retained, so P50/P95/P99 are streaming
-// estimates (exact for populations of five or fewer).
+// fleet. N, Min and Max are exact; Mean, Std and CI95 are rounded once
+// from exact sums; P50/P95/P99 come from a log-bucketed sketch and are
+// within relative error stats.Alpha (1/128) of the nearest-rank order
+// statistic.
 type Dist struct {
 	N    int     `json:"n"`
 	Mean float64 `json:"mean"`
@@ -22,39 +23,18 @@ type Dist struct {
 	P99  float64 `json:"p99"`
 }
 
-// acc is the streaming accumulator behind one Dist: O(1) space per
-// metric regardless of fleet size.
-type acc struct {
-	w             stats.Welford
-	p50, p95, p99 stats.P2Quantile
-}
-
-func newAcc() *acc {
-	return &acc{
-		p50: stats.NewP2Quantile(0.50),
-		p95: stats.NewP2Quantile(0.95),
-		p99: stats.NewP2Quantile(0.99),
-	}
-}
-
-func (a *acc) add(x float64) {
-	a.w.Add(x)
-	a.p50.Add(x)
-	a.p95.Add(x)
-	a.p99.Add(x)
-}
-
-func (a *acc) dist() Dist {
+func dist(m *stats.Mergeable) Dist {
+	s := m.Summary()
 	return Dist{
-		N:    a.w.N(),
-		Mean: a.w.Mean(),
-		Std:  a.w.Std(),
-		CI95: a.w.CI95(),
-		Min:  a.w.Min(),
-		Max:  a.w.Max(),
-		P50:  a.p50.Value(),
-		P95:  a.p95.Value(),
-		P99:  a.p99.Value(),
+		N:    s.N,
+		Mean: s.Mean,
+		Std:  s.Std,
+		CI95: s.CI95,
+		Min:  s.Min,
+		Max:  s.Max,
+		P50:  m.Quantile(0.50),
+		P95:  m.Quantile(0.95),
+		P99:  m.Quantile(0.99),
 	}
 }
 
@@ -101,7 +81,7 @@ type SavingsSummary struct {
 // Summary is the full deterministic JSON aggregate of a fleet run. It
 // deliberately excludes wall-clock time and anything else that varies
 // between repeats: marshalling a Summary is byte-identical for a fixed
-// Spec across worker counts and shard sizes.
+// Spec across worker counts, shard sizes and merge orders.
 type Summary struct {
 	Devices    int            `json:"devices"`
 	Seed       int64          `json:"seed"`
@@ -116,75 +96,59 @@ type Summary struct {
 	LeakyDevices int `json:"leaky_devices,omitempty"`
 }
 
-// policyAcc accumulates one policy's metrics.
+// policyAcc accumulates one policy's metrics. Every field merges
+// exactly — Mergeable states, integer counters, a max, and the backend's
+// integer counters and arrival histogram — so any fold order agrees.
 type policyAcc struct {
-	energy, standby, wakeups, imperc, aoi *acc
+	energy, standby, wakeups, imperc, aoi stats.Mergeable
 	perceptibleLate, graceLate            int
 	maxPerceptibleDelay                   float64
-	// bk folds the per-run backend counters; hist merges the per-run
-	// arrival histograms (exact integer adds, so any fold order agrees).
-	// Both stay nil while the spec carries no backend model.
+	// bk and hist stay zero/nil while the spec carries no backend model.
 	bk   backend.DeviceStats
 	hist *backend.Histogram
 }
 
 func newPolicyAcc(m *backend.Model) *policyAcc {
-	p := &policyAcc{energy: newAcc(), standby: newAcc(), wakeups: newAcc(), imperc: newAcc(), aoi: newAcc()}
+	p := &policyAcc{}
 	if m != nil {
 		p.hist = backend.NewHistogram(m.WithDefaults().BucketWidth)
 	}
 	return p
 }
 
-// observeObs folds one device's extracted observation row into the
-// policy's accumulators. Every float here was computed by makePolicyObs
-// — in this process or in a shard-worker process — so folding a row is
-// bit-identical to folding the run it came from. The guarantee counters
-// fold the run's streamed Guarantees rather than re-scanning its
-// Records, so runs executed in the NoTrace fast mode (no Records at
-// all) aggregate identically: sums of per-run counts and the max of
-// per-run maxima equal the record-level scan exactly.
-func (p *policyAcc) observeObs(o PolicyObs) {
-	p.energy.add(o.EnergyMJ)
-	p.standby.add(o.StandbyHours)
-	p.wakeups.add(o.Wakeups)
-	p.imperc.add(o.ImperceptibleDelay)
-	p.aoi.add(o.AoIMean)
-	p.perceptibleLate += o.PerceptibleLate
-	p.graceLate += o.GraceLate
-	if o.MaxPerceptibleDelay > p.maxPerceptibleDelay {
-		p.maxPerceptibleDelay = o.MaxPerceptibleDelay
-	}
+// mergeables lists the distributions in their encoding order.
+func (p *policyAcc) mergeables() [5]*stats.Mergeable {
+	return [...]*stats.Mergeable{&p.energy, &p.standby, &p.wakeups, &p.imperc, &p.aoi}
 }
 
-// observeBackend folds one run's backend counters and arrival histogram.
-// Both folds are commutative, associative integer adds, so shard-level
-// pre-folds (ShardAggregate) merge to the same result as per-run folds.
-func (p *policyAcc) observeBackend(b *backend.DeviceStats) {
-	if p.hist != nil && b != nil {
-		p.bk.Merge(b)
-		p.hist.Merge(b.Hist)
-	}
-}
-
-// mergeBackend folds a shard-level backend pre-fold.
-func (p *policyAcc) mergeBackend(stats backend.DeviceStats, hist *backend.Histogram) {
-	if p.hist != nil && hist != nil {
-		p.bk.Merge(&stats)
-		p.hist.Merge(hist)
+// observe folds one run. The guarantee counters fold the run's streamed
+// Guarantees, so NoTrace runs (no Records at all) aggregate exactly.
+func (p *policyAcc) observe(r *sim.Result) {
+	g := r.Guarantees
+	p.energy.Add(r.Energy.TotalMJ())
+	p.standby.Add(r.StandbyHours)
+	p.wakeups.Add(float64(r.FinalWakeups))
+	p.imperc.Add(r.Delays.ImperceptibleMean)
+	p.aoi.Add(r.AoI.MeanAgeSec)
+	p.perceptibleLate += g.PerceptibleLate
+	p.graceLate += g.GraceLate
+	p.maxPerceptibleDelay = max(p.maxPerceptibleDelay, g.MaxPerceptibleDelay)
+	if p.hist != nil && r.Backend != nil {
+		p.bk.Merge(r.Backend)
+		p.hist.Merge(r.Backend.Hist)
 	}
 }
 
 func (p *policyAcc) summary(m *backend.Model) PolicySummary {
 	ps := PolicySummary{
-		EnergyMJ:            p.energy.dist(),
-		StandbyHours:        p.standby.dist(),
-		Wakeups:             p.wakeups.dist(),
-		ImperceptibleDelay:  p.imperc.dist(),
+		EnergyMJ:            dist(&p.energy),
+		StandbyHours:        dist(&p.standby),
+		Wakeups:             dist(&p.wakeups),
+		ImperceptibleDelay:  dist(&p.imperc),
 		PerceptibleLate:     p.perceptibleLate,
 		GraceLate:           p.graceLate,
 		MaxPerceptibleDelay: p.maxPerceptibleDelay,
-		AoIMeanAge:          p.aoi.dist(),
+		AoIMeanAge:          dist(&p.aoi),
 	}
 	if m != nil && p.hist != nil {
 		// Replay the fleet's merged arrivals through the server queue,
@@ -202,50 +166,42 @@ func (p *policyAcc) summary(m *backend.Model) PolicySummary {
 }
 
 // Aggregate is the streaming fleet aggregate: O(1) space in the number
-// of devices. Devices must be folded in index order (the runner
-// guarantees this) for the byte-identical-JSON contract to hold.
+// of devices, and exactly mergeable. Folding devices in any order, or
+// merging shard aggregates (MergeShard) in any order, gives the same
+// state and therefore the same Summary bytes.
 type Aggregate struct {
 	spec                          Spec
+	hash                          [32]byte // SpecHash(spec)
 	devices, leaky                int
 	base, test                    *policyAcc
-	total, awake, standby, wakeup *acc
+	total, awake, standby, wakeup stats.Mergeable
 }
 
 // NewAggregate returns an empty aggregate for the spec, ready to fold
-// devices (observe) or whole shards (MergeShard) in index order. The
-// in-process runner builds one internally; the multi-process supervisor
-// (internal/shardexec) builds one explicitly so it can restore a
-// checkpointed state into it.
+// devices or merge whole shards (MergeShard).
 func NewAggregate(spec Spec) *Aggregate {
 	spec = spec.WithDefaults()
-	return &Aggregate{
-		spec: spec,
-		base: newPolicyAcc(spec.Backend), test: newPolicyAcc(spec.Backend),
-		total: newAcc(), awake: newAcc(), standby: newAcc(), wakeup: newAcc(),
-	}
+	return &Aggregate{spec: spec, hash: SpecHash(spec), base: newPolicyAcc(spec.Backend), test: newPolicyAcc(spec.Backend)}
 }
 
-// observe folds one device's base/test run pair into the aggregate. It
-// routes through the same Obs extraction the shard workers use, so the
-// in-process and multi-process paths fold bit-identical values.
+// savings lists the comparison distributions in their encoding order.
+func (a *Aggregate) savings() [4]*stats.Mergeable {
+	return [...]*stats.Mergeable{&a.total, &a.awake, &a.standby, &a.wakeup}
+}
+
+// observe folds one device's base/test run pair into the aggregate.
 func (a *Aggregate) observe(d Device, base, test *sim.Result) {
-	a.observeObs(makeObs(d, base, test))
-	a.base.observeBackend(base.Backend)
-	a.test.observeBackend(test.Backend)
-}
-
-// observeObs folds one device's extracted observation row.
-func (a *Aggregate) observeObs(o Obs) {
 	a.devices++
-	if o.Leaky {
+	if d.LeakApp != "" {
 		a.leaky++
 	}
-	a.base.observeObs(o.Base)
-	a.test.observeObs(o.Test)
-	a.total.add(o.Total)
-	a.awake.add(o.Awake)
-	a.standby.add(o.Standby)
-	a.wakeup.add(o.Wakeup)
+	a.base.observe(base)
+	a.test.observe(test)
+	cmp := sim.Comparison{Base: base, Test: test}
+	a.total.Add(cmp.TotalSavings())
+	a.awake.Add(cmp.AwakeSavings())
+	a.standby.Add(cmp.StandbyExtension())
+	a.wakeup.Add(cmp.WakeupReduction())
 }
 
 // Devices reports how many devices have been folded in.
@@ -253,7 +209,7 @@ func (a *Aggregate) Devices() int { return a.devices }
 
 // Summary snapshots the aggregate into its deterministic JSON form.
 func (a *Aggregate) Summary() Summary {
-	s := a.spec.WithDefaults()
+	s := a.spec
 	return Summary{
 		Devices:    a.devices,
 		Seed:       s.Seed,
@@ -263,10 +219,10 @@ func (a *Aggregate) Summary() Summary {
 		Base:       a.base.summary(s.Backend),
 		Test:       a.test.summary(s.Backend),
 		Savings: SavingsSummary{
-			Total:            a.total.dist(),
-			Awake:            a.awake.dist(),
-			StandbyExtension: a.standby.dist(),
-			WakeupReduction:  a.wakeup.dist(),
+			Total:            dist(&a.total),
+			Awake:            dist(&a.awake),
+			StandbyExtension: dist(&a.standby),
+			WakeupReduction:  dist(&a.wakeup),
 		},
 		LeakyDevices: a.leaky,
 	}

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -15,17 +17,18 @@ import (
 //
 //	[magic 4][version u16][payload length u32][payload][crc32c u32]
 //
-// "WFSH" frames carry a ShardAggregate — what a shard-worker process
-// writes to stdout and what checkpoint files persist per shard. "WFAG"
-// frames carry a serialized Aggregate state — the checkpoint's running
-// prefix, restored on resume so already-merged shards are not re-run.
+// "WFAG" frames carry an Aggregate's state (EncodeState). "WFSH" frames
+// carry a ShardAggregate — what a shard-worker process writes to stdout
+// and what the checkpoint persists per shard: the shard's index and
+// device range followed by the WFAG frame of the aggregate over that
+// range. Every part of the state merges exactly, so a frame's size
+// depends on the spread of the metrics, not on the number of devices.
 //
 // The CRC (Castagnoli) covers the envelope header and payload, so a
 // truncated pipe, a torn checkpoint tail, or a flipped bit decodes as a
-// loud error instead of a silently wrong summary. All integers are
-// little-endian and floats cross as their IEEE-754 bit patterns —
-// decode(encode(x)) is x, bit for bit, which is what lets a resumed run
-// produce byte-identical Summary JSON.
+// loud error instead of a silently wrong summary. Fixed-width integers
+// are little-endian, counts are varints, and floats cross as their
+// IEEE-754 bit patterns.
 
 const (
 	shardMagic = "WFSH"
@@ -34,25 +37,29 @@ const (
 	// CodecVersion is the on-wire version of both frame kinds. Bump it
 	// on any layout change: a supervisor refuses frames from a worker
 	// or checkpoint of a different version instead of misparsing them.
-	// v2 added the Age-of-Information mean to PolicyObs rows and the
-	// AoI accumulator to the policy state block.
-	CodecVersion = 2
+	// v3 replaced the per-device observation rows with the exactly
+	// mergeable aggregate state.
+	CodecVersion = 3
 
 	frameHeaderSize = 4 + 2 + 4
-	policyObsSize   = 8 * 8
-	obsSize         = 1 + 2*policyObsSize + 4*8
-	accSize         = stats.WelfordBinarySize + 3*stats.P2QuantileBinarySize
+	// shardHeaderSize is the index and range in front of a shard's state.
+	shardHeaderSize = 4 + 8 + 8
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frame wraps a payload in the envelope.
-func frame(magic string, payload []byte) []byte {
-	b := make([]byte, 0, frameHeaderSize+len(payload)+4)
-	b = append(b, magic...)
-	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
+// beginFrame starts an envelope with room for a payload of about
+// sizeHint bytes; endFrame closes it.
+func beginFrame(magic string, sizeHint int) []byte {
+	b := make([]byte, frameHeaderSize, frameHeaderSize+sizeHint+4)
+	copy(b, magic)
+	binary.LittleEndian.PutUint16(b[4:], CodecVersion)
+	return b
+}
+
+// endFrame fills in the payload length and appends the checksum.
+func endFrame(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[6:], uint32(len(b)-frameHeaderSize))
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
@@ -61,8 +68,8 @@ func unframe(magic string, data []byte) ([]byte, error) {
 	if len(data) < frameHeaderSize+4 {
 		return nil, fmt.Errorf("fleet: %s frame is %d bytes, want at least %d", magic, len(data), frameHeaderSize+4)
 	}
-	if got := string(data[:4]); got != magic {
-		return nil, fmt.Errorf("fleet: frame magic %q, want %q", got, magic)
+	if string(data[:4]) != magic {
+		return nil, fmt.Errorf("fleet: frame magic %q, want %q", data[:4], magic)
 	}
 	if v := binary.LittleEndian.Uint16(data[4:]); v != CodecVersion {
 		return nil, fmt.Errorf("fleet: %s frame version %d, want %d", magic, v, CodecVersion)
@@ -79,345 +86,229 @@ func unframe(magic string, data []byte) ([]byte, error) {
 	return data[frameHeaderSize : frameHeaderSize+n], nil
 }
 
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
+var errTruncated = errors.New("fleet: truncated aggregate state")
 
-func appendPolicyObs(b []byte, o PolicyObs) []byte {
-	b = appendFloat(b, o.EnergyMJ)
-	b = appendFloat(b, o.StandbyHours)
-	b = appendFloat(b, o.Wakeups)
-	b = appendFloat(b, o.ImperceptibleDelay)
-	b = binary.LittleEndian.AppendUint64(b, uint64(o.PerceptibleLate))
-	b = binary.LittleEndian.AppendUint64(b, uint64(o.GraceLate))
-	b = appendFloat(b, o.MaxPerceptibleDelay)
-	return appendFloat(b, o.AoIMean)
-}
-
-func decodePolicyObs(data []byte) (PolicyObs, error) {
-	o := PolicyObs{
-		EnergyMJ:            math.Float64frombits(binary.LittleEndian.Uint64(data)),
-		StandbyHours:        math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
-		Wakeups:             math.Float64frombits(binary.LittleEndian.Uint64(data[16:])),
-		ImperceptibleDelay:  math.Float64frombits(binary.LittleEndian.Uint64(data[24:])),
-		PerceptibleLate:     int(int64(binary.LittleEndian.Uint64(data[32:]))),
-		GraceLate:           int(int64(binary.LittleEndian.Uint64(data[40:]))),
-		MaxPerceptibleDelay: math.Float64frombits(binary.LittleEndian.Uint64(data[48:])),
-		AoIMean:             math.Float64frombits(binary.LittleEndian.Uint64(data[56:])),
+// takeCount consumes a varint count (at most 2^53).
+func takeCount(data []byte) (int, []byte, error) {
+	v, k := binary.Uvarint(data)
+	if k <= 0 || v > 1<<53 {
+		return 0, nil, errTruncated
 	}
-	if o.PerceptibleLate < 0 || o.GraceLate < 0 {
-		return o, fmt.Errorf("fleet: negative guarantee counter in observation row")
-	}
-	return o, nil
+	return int(v), data[k:], nil
 }
 
-func appendObs(b []byte, o Obs) []byte {
-	if o.Leaky {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+// appendBinary appends the policy block: the five distributions, the
+// guarantee counters, then the backend counters and arrival histogram
+// when the spec has a backend model.
+func (p *policyAcc) appendBinary(b []byte) []byte {
+	for _, m := range p.mergeables() {
+		b = m.AppendBinary(b)
 	}
-	b = appendPolicyObs(b, o.Base)
-	b = appendPolicyObs(b, o.Test)
-	b = appendFloat(b, o.Total)
-	b = appendFloat(b, o.Awake)
-	b = appendFloat(b, o.Standby)
-	return appendFloat(b, o.Wakeup)
+	b = binary.AppendUvarint(b, uint64(p.perceptibleLate))
+	b = binary.AppendUvarint(b, uint64(p.graceLate))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.maxPerceptibleDelay))
+	if p.hist == nil {
+		return append(b, 0)
+	}
+	b = p.bk.AppendBinary(append(b, 1))
+	hist := p.hist.AppendBinary(nil)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(hist)))
+	return append(b, hist...)
 }
 
-func decodeObs(data []byte) (Obs, error) {
-	var o Obs
-	switch data[0] {
-	case 0:
-	case 1:
-		o.Leaky = true
-	default:
-		return o, fmt.Errorf("fleet: observation leak flag %d, want 0 or 1", data[0])
+// EncodeState serializes the aggregate's state into a checksummed WFAG
+// frame. Merging it into another aggregate of the same spec is the same
+// as having folded this one's devices there; a ShardAggregate carries
+// one.
+func (a *Aggregate) EncodeState() []byte {
+	b := beginFrame(stateMagic, 2048)
+	b = append(b, a.hash[:]...)
+	b = binary.AppendUvarint(b, uint64(a.devices))
+	b = binary.AppendUvarint(b, uint64(a.leaky))
+	b = a.base.appendBinary(b)
+	b = a.test.appendBinary(b)
+	for _, m := range a.savings() {
+		b = m.AppendBinary(b)
+	}
+	return endFrame(b)
+}
+
+// mergeState validates a WFAG payload and returns its device count.
+// With a non-nil a it also checks the state against a's spec, and with
+// apply set it folds the state into a. A pass without apply writes
+// nothing, so validating first and then applying is all-or-nothing.
+func mergeState(payload []byte, a *Aggregate, apply bool) (int, error) {
+	if len(payload) < 32 {
+		return 0, errTruncated
+	}
+	if a != nil && !bytes.Equal(payload[:32], a.hash[:]) {
+		return 0, fmt.Errorf("fleet: state spec hash %x does not match aggregate spec %x", payload[:4], a.hash[:4])
+	}
+	devices, rest, err := takeCount(payload[32:])
+	if err != nil {
+		return 0, err
+	}
+	leaky, rest, err := takeCount(rest)
+	if err != nil {
+		return 0, err
+	}
+	if leaky > devices || devices > maxDevices {
+		return 0, fmt.Errorf("fleet: state counts %d devices (%d leaky)", devices, leaky)
+	}
+	var like, into [2]*policyAcc
+	var savings [4]*stats.Mergeable
+	if a != nil {
+		like = [2]*policyAcc{a.base, a.test}
+		if apply {
+			into, savings = like, a.savings()
+		}
+	}
+	for i := range like {
+		if rest, err = mergePolicy(rest, devices, like[i], into[i]); err != nil {
+			return 0, err
+		}
+	}
+	for _, m := range savings {
+		if rest, err = mergeDist(rest, devices, m); err != nil {
+			return 0, err
+		}
+	}
+	if len(rest) != 0 {
+		return 0, fmt.Errorf("fleet: %d trailing bytes after aggregate state", len(rest))
+	}
+	if apply {
+		a.devices += devices
+		a.leaky += leaky
+	}
+	return devices, nil
+}
+
+// mergeDist reads one distribution, which must hold one value per
+// device, folding it into into when non-nil.
+func mergeDist(data []byte, devices int, into *stats.Mergeable) ([]byte, error) {
+	n, rest, err := stats.MergeBinary(data, into)
+	if err != nil {
+		return nil, err
+	}
+	if n != devices {
+		return nil, fmt.Errorf("fleet: state distribution holds %d values for %d devices", n, devices)
+	}
+	return rest, nil
+}
+
+// mergePolicy reads one policy block. like, when non-nil, is the
+// target's policy the block must be compatible with; into, when
+// non-nil, receives the block.
+func mergePolicy(data []byte, devices int, like, into *policyAcc) ([]byte, error) {
+	var ms [5]*stats.Mergeable
+	if into != nil {
+		ms = into.mergeables()
 	}
 	var err error
-	if o.Base, err = decodePolicyObs(data[1:]); err != nil {
-		return o, err
+	for _, m := range ms {
+		if data, err = mergeDist(data, devices, m); err != nil {
+			return nil, err
+		}
 	}
-	if o.Test, err = decodePolicyObs(data[1+policyObsSize:]); err != nil {
-		return o, err
+	late, data, err := takeCount(data)
+	if err != nil {
+		return nil, err
 	}
-	tail := data[1+2*policyObsSize:]
-	o.Total = math.Float64frombits(binary.LittleEndian.Uint64(tail))
-	o.Awake = math.Float64frombits(binary.LittleEndian.Uint64(tail[8:]))
-	o.Standby = math.Float64frombits(binary.LittleEndian.Uint64(tail[16:]))
-	o.Wakeup = math.Float64frombits(binary.LittleEndian.Uint64(tail[24:]))
-	return o, nil
-}
-
-// appendBlob writes a u32 length prefix followed by the bytes.
-func appendBlob(b, blob []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
-	return append(b, blob...)
-}
-
-// takeBlob consumes a length-prefixed blob and returns it with the rest.
-func takeBlob(data []byte) (blob, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("fleet: truncated length prefix")
+	grace, data, err := takeCount(data)
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if len(data) < 4+n {
-		return nil, nil, fmt.Errorf("fleet: blob of %d bytes in %d remaining", n, len(data)-4)
+	if len(data) < 9 {
+		return nil, errTruncated
 	}
-	return data[4 : 4+n], data[4+n:], nil
+	maxDelay := math.Float64frombits(binary.LittleEndian.Uint64(data))
+	flag := data[8]
+	data = data[9:]
+	if flag > 1 || !(maxDelay >= 0 && maxDelay <= math.MaxFloat64) {
+		return nil, fmt.Errorf("fleet: policy block with backend flag %d, max delay %v is invalid", flag, maxDelay)
+	}
+	if like != nil && (flag == 1) != (like.hist != nil) {
+		return nil, fmt.Errorf("fleet: state backend presence %v does not match spec", flag == 1)
+	}
+	var bk backend.DeviceStats
+	var hist *backend.Histogram
+	if flag == 1 {
+		if len(data) < backend.DeviceStatsBinarySize+4 {
+			return nil, errTruncated
+		}
+		if err := bk.UnmarshalBinary(data[:backend.DeviceStatsBinarySize]); err != nil {
+			return nil, err
+		}
+		data = data[backend.DeviceStatsBinarySize:]
+		n := int(binary.LittleEndian.Uint32(data))
+		if len(data)-4 < n {
+			return nil, errTruncated
+		}
+		hist = &backend.Histogram{}
+		if err := hist.UnmarshalBinary(data[4 : 4+n]); err != nil {
+			return nil, err
+		}
+		if like != nil && hist.Width != like.hist.Width {
+			return nil, fmt.Errorf("fleet: state histogram width %d does not match spec %d", hist.Width, like.hist.Width)
+		}
+		data = data[4+n:]
+	}
+	if into != nil {
+		into.perceptibleLate += late
+		into.graceLate += grace
+		into.maxPerceptibleDelay = max(into.maxPerceptibleDelay, maxDelay)
+		if hist != nil {
+			into.bk.Merge(&bk)
+			into.hist.Merge(hist)
+		}
+	}
+	return data, nil
 }
 
 // EncodeShard serializes a shard aggregate into a checksummed WFSH
 // frame: the worker→supervisor wire format and the checkpoint's
 // per-shard record payload.
 func EncodeShard(sa *ShardAggregate) []byte {
-	payload := make([]byte, 0, 64+obsSize*len(sa.Obs))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(sa.Index))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(sa.Lo))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(sa.Hi))
-	payload = append(payload, sa.SpecHash[:]...)
-	if sa.HasBackend {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
-	}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(sa.Obs)))
-	for i := range sa.Obs {
-		payload = appendObs(payload, sa.Obs[i])
-	}
-	if sa.HasBackend {
-		payload = sa.BaseStats.AppendBinary(payload)
-		payload = sa.TestStats.AppendBinary(payload)
-		payload = appendBlob(payload, sa.BaseHist.AppendBinary(nil))
-		payload = appendBlob(payload, sa.TestHist.AppendBinary(nil))
-	}
-	return frame(shardMagic, payload)
+	b := beginFrame(shardMagic, shardHeaderSize+len(sa.state))
+	b = binary.LittleEndian.AppendUint32(b, uint32(sa.Index))
+	b = binary.LittleEndian.AppendUint64(b, uint64(sa.Lo))
+	b = binary.LittleEndian.AppendUint64(b, uint64(sa.Hi))
+	return endFrame(append(b, sa.state...))
 }
 
 // DecodeShard parses a WFSH frame, rejecting truncated, corrupt,
-// version-skewed, or structurally invalid payloads.
+// version-skewed, or structurally invalid payloads. The frame may come
+// from an untrusted worker or a damaged checkpoint: decoding never
+// panics, and a frame that decodes re-encodes to the same bytes.
 func DecodeShard(data []byte) (*ShardAggregate, error) {
 	payload, err := unframe(shardMagic, data)
 	if err != nil {
 		return nil, err
 	}
-	const fixed = 4 + 8 + 8 + 32 + 1 + 4
-	if len(payload) < fixed {
-		return nil, fmt.Errorf("fleet: shard payload is %d bytes, want at least %d", len(payload), fixed)
+	if len(payload) < shardHeaderSize {
+		return nil, fmt.Errorf("fleet: shard payload is %d bytes, want at least %d", len(payload), shardHeaderSize)
 	}
 	sa := &ShardAggregate{
 		Index: int(int32(binary.LittleEndian.Uint32(payload))),
 		Lo:    int(int64(binary.LittleEndian.Uint64(payload[4:]))),
 		Hi:    int(int64(binary.LittleEndian.Uint64(payload[12:]))),
 	}
-	copy(sa.SpecHash[:], payload[20:52])
-	switch payload[52] {
-	case 0:
-	case 1:
-		sa.HasBackend = true
-	default:
-		return nil, fmt.Errorf("fleet: shard backend flag %d, want 0 or 1", payload[52])
+	if sa.Index < 0 || sa.Lo < 0 || sa.Hi <= sa.Lo || sa.Hi > maxDevices {
+		return nil, fmt.Errorf("fleet: shard %d range [%d, %d) is invalid", sa.Index, sa.Lo, sa.Hi)
 	}
-	n := int(binary.LittleEndian.Uint32(payload[53:]))
-	if sa.Index < 0 || sa.Lo < 0 || sa.Hi <= sa.Lo || n != sa.Hi-sa.Lo {
-		return nil, fmt.Errorf("fleet: shard %d range [%d, %d) with %d rows is inconsistent", sa.Index, sa.Lo, sa.Hi, n)
-	}
-	rest := payload[fixed:]
-	if len(rest) < n*obsSize {
-		return nil, fmt.Errorf("fleet: shard payload holds %d bytes for %d rows of %d", len(rest), n, obsSize)
-	}
-	sa.Obs = make([]Obs, n)
-	for i := 0; i < n; i++ {
-		if sa.Obs[i], err = decodeObs(rest[i*obsSize:]); err != nil {
-			return nil, fmt.Errorf("fleet: shard row %d: %w", i, err)
-		}
-	}
-	rest = rest[n*obsSize:]
-	if !sa.HasBackend {
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("fleet: %d trailing bytes after backend-less shard", len(rest))
-		}
-		return sa, nil
-	}
-	if len(rest) < 2*backend.DeviceStatsBinarySize {
-		return nil, fmt.Errorf("fleet: shard backend block truncated")
-	}
-	if err := sa.BaseStats.UnmarshalBinary(rest[:backend.DeviceStatsBinarySize]); err != nil {
-		return nil, err
-	}
-	if err := sa.TestStats.UnmarshalBinary(rest[backend.DeviceStatsBinarySize : 2*backend.DeviceStatsBinarySize]); err != nil {
-		return nil, err
-	}
-	rest = rest[2*backend.DeviceStatsBinarySize:]
-	baseHist, rest, err := takeBlob(rest)
+	state := payload[shardHeaderSize:]
+	inner, err := unframe(stateMagic, state)
 	if err != nil {
 		return nil, err
 	}
-	testHist, rest, err := takeBlob(rest)
+	devices, err := mergeState(inner, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("fleet: %d trailing bytes after shard backend block", len(rest))
+	if devices != sa.Hi-sa.Lo {
+		return nil, fmt.Errorf("fleet: shard [%d, %d) carries a state of %d devices", sa.Lo, sa.Hi, devices)
 	}
-	sa.BaseHist, sa.TestHist = &backend.Histogram{}, &backend.Histogram{}
-	if err := sa.BaseHist.UnmarshalBinary(baseHist); err != nil {
-		return nil, err
-	}
-	if err := sa.TestHist.UnmarshalBinary(testHist); err != nil {
-		return nil, err
-	}
+	copy(sa.SpecHash[:], inner)
+	sa.state = bytes.Clone(state)
 	return sa, nil
-}
-
-func appendAcc(b []byte, a *acc) []byte {
-	b = a.w.AppendBinary(b)
-	b = a.p50.AppendBinary(b)
-	b = a.p95.AppendBinary(b)
-	return a.p99.AppendBinary(b)
-}
-
-func decodeAcc(data []byte, a *acc) error {
-	if err := a.w.UnmarshalBinary(data[:stats.WelfordBinarySize]); err != nil {
-		return err
-	}
-	data = data[stats.WelfordBinarySize:]
-	for _, q := range [...]*stats.P2Quantile{&a.p50, &a.p95, &a.p99} {
-		if err := q.UnmarshalBinary(data[:stats.P2QuantileBinarySize]); err != nil {
-			return err
-		}
-		data = data[stats.P2QuantileBinarySize:]
-	}
-	return nil
-}
-
-func appendPolicyAcc(b []byte, p *policyAcc) []byte {
-	b = appendAcc(b, p.energy)
-	b = appendAcc(b, p.standby)
-	b = appendAcc(b, p.wakeups)
-	b = appendAcc(b, p.imperc)
-	b = appendAcc(b, p.aoi)
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.perceptibleLate))
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.graceLate))
-	b = appendFloat(b, p.maxPerceptibleDelay)
-	if p.hist == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = p.bk.AppendBinary(b)
-	return appendBlob(b, p.hist.AppendBinary(nil))
-}
-
-func decodePolicyAcc(data []byte, p *policyAcc) (rest []byte, err error) {
-	const fixed = 5*accSize + 8 + 8 + 8 + 1
-	if len(data) < fixed {
-		return nil, fmt.Errorf("fleet: policy accumulator block truncated")
-	}
-	for _, a := range [...]*acc{p.energy, p.standby, p.wakeups, p.imperc, p.aoi} {
-		if err := decodeAcc(data, a); err != nil {
-			return nil, err
-		}
-		data = data[accSize:]
-	}
-	p.perceptibleLate = int(int64(binary.LittleEndian.Uint64(data)))
-	p.graceLate = int(int64(binary.LittleEndian.Uint64(data[8:])))
-	p.maxPerceptibleDelay = math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
-	if p.perceptibleLate < 0 || p.graceLate < 0 {
-		return nil, fmt.Errorf("fleet: negative guarantee counter in policy accumulator")
-	}
-	hasBackend := data[24]
-	data = data[25:]
-	if hasBackend == 0 {
-		// The aggregate being restored into was built from the spec, so
-		// its hist nil-ness must agree with the state being restored.
-		if p.hist != nil {
-			return nil, fmt.Errorf("fleet: state has no backend block but spec carries a backend model")
-		}
-		return data, nil
-	}
-	if hasBackend != 1 {
-		return nil, fmt.Errorf("fleet: policy backend flag %d, want 0 or 1", hasBackend)
-	}
-	if p.hist == nil {
-		return nil, fmt.Errorf("fleet: state has a backend block but spec carries no backend model")
-	}
-	if len(data) < backend.DeviceStatsBinarySize {
-		return nil, fmt.Errorf("fleet: policy backend counters truncated")
-	}
-	if err := p.bk.UnmarshalBinary(data[:backend.DeviceStatsBinarySize]); err != nil {
-		return nil, err
-	}
-	blob, data, err := takeBlob(data[backend.DeviceStatsBinarySize:])
-	if err != nil {
-		return nil, err
-	}
-	hist := &backend.Histogram{}
-	if err := hist.UnmarshalBinary(blob); err != nil {
-		return nil, err
-	}
-	p.hist = hist
-	return data, nil
-}
-
-// EncodeState serializes the aggregate's complete streaming state into
-// a checksummed WFAG frame. Restoring it and continuing the fold is
-// bit-identical to never having stopped — the checkpoint file uses this
-// to persist the merged prefix of a fleet run.
-func (a *Aggregate) EncodeState() []byte {
-	payload := make([]byte, 0, 2*4096)
-	hash := SpecHash(a.spec)
-	payload = append(payload, hash[:]...)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(a.devices))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(a.leaky))
-	payload = appendPolicyAcc(payload, a.base)
-	payload = appendPolicyAcc(payload, a.test)
-	payload = appendAcc(payload, a.total)
-	payload = appendAcc(payload, a.awake)
-	payload = appendAcc(payload, a.standby)
-	return frame(stateMagic, appendAcc(payload, a.wakeup))
-}
-
-// RestoreState replaces the aggregate's streaming state with one
-// serialized by EncodeState. The frame's spec hash must match the
-// aggregate's spec — a checkpoint from an edited spec is an error, not
-// a merge.
-func (a *Aggregate) RestoreState(data []byte) error {
-	payload, err := unframe(stateMagic, data)
-	if err != nil {
-		return err
-	}
-	if len(payload) < 32+16 {
-		return fmt.Errorf("fleet: state payload is %d bytes, want at least %d", len(payload), 32+16)
-	}
-	var hash [32]byte
-	copy(hash[:], payload[:32])
-	if want := SpecHash(a.spec); hash != want {
-		return fmt.Errorf("fleet: state spec hash %x does not match aggregate spec %x", hash[:4], want[:4])
-	}
-	// Decode into a fresh aggregate so a mid-payload error cannot leave
-	// a half-restored state behind.
-	fresh := NewAggregate(a.spec)
-	fresh.devices = int(int64(binary.LittleEndian.Uint64(payload[32:])))
-	fresh.leaky = int(int64(binary.LittleEndian.Uint64(payload[40:])))
-	if fresh.devices < 0 || fresh.leaky < 0 || fresh.leaky > fresh.devices || fresh.devices > a.spec.Devices {
-		return fmt.Errorf("fleet: state counts %d devices (%d leaky) for a fleet of %d", fresh.devices, fresh.leaky, a.spec.Devices)
-	}
-	rest := payload[48:]
-	if rest, err = decodePolicyAcc(rest, fresh.base); err != nil {
-		return err
-	}
-	if rest, err = decodePolicyAcc(rest, fresh.test); err != nil {
-		return err
-	}
-	if len(rest) != 4*accSize {
-		return fmt.Errorf("fleet: state savings block is %d bytes, want %d", len(rest), 4*accSize)
-	}
-	for _, ac := range [...]*acc{fresh.total, fresh.awake, fresh.standby, fresh.wakeup} {
-		if err := decodeAcc(rest, ac); err != nil {
-			return err
-		}
-		rest = rest[accSize:]
-	}
-	*a = *fresh
-	return nil
 }

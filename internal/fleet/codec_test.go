@@ -7,8 +7,8 @@ import (
 )
 
 // TestShardCodecRoundTrip: EncodeShard/DecodeShard reproduce the shard
-// exactly (DeepEqual over every row and pre-fold) and the encoding is
-// deterministic, for both fleet shapes.
+// exactly (DeepEqual over the range, spec hash and state) and the
+// encoding is deterministic, for both fleet shapes.
 func TestShardCodecRoundTrip(t *testing.T) {
 	for name, spec := range shardSpecs() {
 		t.Run(name, func(t *testing.T) {
@@ -58,18 +58,22 @@ func TestShardCodecRejectsBadFrames(t *testing.T) {
 		}
 	}
 
-	// Structural damage behind a recomputed (valid) checksum: the range
-	// no longer matches the row count.
+	// Structural damage behind a recomputed (valid) checksum: a range
+	// that is inverted, a range that disagrees with the state's device
+	// count, and damage inside the embedded state frame.
 	reframed := func(f func(b []byte)) []byte {
 		payload := append([]byte(nil), blob[frameHeaderSize:len(blob)-4]...)
 		f(payload)
-		return frame(shardMagic, payload)
+		return endFrame(append(beginFrame(shardMagic, len(payload)), payload...))
 	}
 	if _, err := DecodeShard(reframed(func(p []byte) { p[4] = 0xee })); err == nil {
 		t.Error("inconsistent shard range accepted")
 	}
-	if _, err := DecodeShard(reframed(func(p []byte) { p[52] = 7 })); err == nil {
-		t.Error("invalid backend flag accepted")
+	if _, err := DecodeShard(reframed(func(p []byte) { p[12]++ })); err == nil {
+		t.Error("range longer than the state's device count accepted")
+	}
+	if _, err := DecodeShard(reframed(func(p []byte) { p[len(p)/2] ^= 0x40 })); err == nil {
+		t.Error("corrupt embedded state accepted")
 	}
 
 	// A state frame is not a shard frame.
@@ -78,96 +82,52 @@ func TestShardCodecRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// TestStateRoundTripContinues is the checkpoint-resume property at the
-// aggregate layer: snapshot the state mid-merge, restore it into a
-// fresh aggregate, continue merging the remaining shards, and the final
-// Summary JSON must be byte-identical to the uninterrupted merge — for
-// every split point, in both fleet shapes.
-func TestStateRoundTripContinues(t *testing.T) {
-	for name, spec := range shardSpecs() {
-		t.Run(name, func(t *testing.T) {
-			shards := runShards(t, spec, 6)
-			ref := NewAggregate(spec)
-			for _, sa := range shards {
-				if err := ref.MergeShard(sa); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := marshalSummary(t, ref.Summary())
-
-			for split := 0; split <= len(shards); split++ {
-				first := NewAggregate(spec)
-				for _, sa := range shards[:split] {
-					if err := first.MergeShard(sa); err != nil {
-						t.Fatal(err)
-					}
-				}
-				state := first.EncodeState()
-				resumed := NewAggregate(spec)
-				if err := resumed.RestoreState(state); err != nil {
-					t.Fatal(err)
-				}
-				if resumed.Devices() != first.Devices() {
-					t.Fatalf("split %d: restored %d devices, want %d", split, resumed.Devices(), first.Devices())
-				}
-				for _, sa := range shards[split:] {
-					if err := resumed.MergeShard(sa); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if got := marshalSummary(t, resumed.Summary()); string(got) != string(want) {
-					t.Fatalf("split %d: resumed summary diverged:\n got %s\nwant %s", split, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestStateCodecRejectsBadFrames: corrupt or mismatched state frames
-// restore nothing.
+// TestStateCodecRejectsBadFrames: a shard whose embedded state frame is
+// corrupt, structurally invalid behind a valid checksum, or computed
+// from another spec is never merged, and a failed merge leaves the
+// aggregate untouched.
 func TestStateCodecRejectsBadFrames(t *testing.T) {
 	spec := shardSpecs()["backend"]
-	shards := runShards(t, spec, 8)
-	agg := NewAggregate(spec)
-	if err := agg.MergeShard(shards[0]); err != nil {
-		t.Fatal(err)
+	sa := runShards(t, spec, 8)[0]
+	state := sa.state
+	withState := func(b []byte) *ShardAggregate {
+		bad := *sa
+		bad.state = b
+		return &bad
 	}
-	state := agg.EncodeState()
-
-	into := NewAggregate(spec)
-	for name, b := range map[string][]byte{
-		"empty":          nil,
-		"truncated":      state[:len(state)-9],
-		"trailing bytes": append(append([]byte(nil), state...), 1),
-	} {
-		if err := into.RestoreState(b); err == nil {
-			t.Errorf("%s accepted", name)
-		}
+	// reframed rebuilds the state frame around a damaged payload.
+	reframed := func(f func(p []byte) []byte) []byte {
+		payload := f(append([]byte(nil), state[frameHeaderSize:len(state)-4]...))
+		return endFrame(append(beginFrame(stateMagic, len(payload)), payload...))
 	}
 	flipped := append([]byte(nil), state...)
 	flipped[len(flipped)/3] ^= 0x10
-	if err := into.RestoreState(flipped); err == nil {
-		t.Error("flipped bit accepted")
+
+	into := NewAggregate(spec)
+	before := marshalSummary(t, into.Summary())
+	for name, b := range map[string][]byte{
+		"empty":                  nil,
+		"truncated":              state[:len(state)-9],
+		"trailing bytes":         append(append([]byte(nil), state...), 1),
+		"flipped bit":            flipped,
+		"shard frame":            EncodeShard(sa),
+		"payload trailing bytes": reframed(func(p []byte) []byte { return append(p, 0) }),
+		"payload truncated":      reframed(func(p []byte) []byte { return p[:len(p)-3] }),
+		"device count":           reframed(func(p []byte) []byte { p[32]++; return p }),
+		"leaky above devices":    reframed(func(p []byte) []byte { p[33] = 0x7f; return p }),
+	} {
+		if err := into.MergeShard(withState(b)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if after := marshalSummary(t, into.Summary()); string(after) != string(before) {
+		t.Error("a rejected merge mutated the aggregate")
 	}
 
 	other := spec
 	other.Seed++
-	if err := NewAggregate(other).RestoreState(state); err == nil {
-		t.Error("state restored into aggregate with different spec")
-	}
-
-	// A shard frame is not a state frame.
-	if err := into.RestoreState(EncodeShard(shards[0])); err == nil {
-		t.Error("shard frame accepted as state frame")
-	}
-
-	// A restore that fails must leave the aggregate untouched.
-	before := marshalSummary(t, into.Summary())
-	if err := into.RestoreState(flipped); err == nil {
-		t.Fatal("flipped bit accepted")
-	}
-	if after := marshalSummary(t, into.Summary()); string(after) != string(before) {
-		t.Error("failed restore mutated the aggregate")
+	if err := NewAggregate(other).MergeShard(sa); err == nil {
+		t.Error("state merged into aggregate with different spec")
 	}
 }
 
@@ -200,25 +160,6 @@ func BenchmarkDecodeShard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeShard(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStateRoundTrip encodes and restores the aggregate state —
-// the per-checkpoint cost of the supervisor's WAL append.
-func BenchmarkStateRoundTrip(b *testing.B) {
-	spec := Spec{Devices: 256, Seed: 9, Hours: 0.1}.WithDefaults()
-	sa := benchShard(b)
-	agg := NewAggregate(spec)
-	if err := agg.MergeShard(sa); err != nil {
-		b.Fatal(err)
-	}
-	into := NewAggregate(spec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := into.RestoreState(agg.EncodeState()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,20 +40,30 @@ func summaryJSON(t *testing.T, opts Options) []byte {
 
 // TestFleetByteIdenticalAcrossWorkersAndShards: the headline determinism
 // contract — for a fixed Spec, the JSON aggregate is byte-identical no
-// matter how many workers executed the runs or how the fleet was
-// sharded.
+// matter how many workers executed the runs or how the fleet was split
+// into shards and in which order the shards were merged.
 func TestFleetByteIdenticalAcrossWorkersAndShards(t *testing.T) {
-	ref := summaryJSON(t, Options{Workers: 1, ShardSize: DefaultShardSize})
-	for _, opts := range []Options{
-		{Workers: 8, ShardSize: DefaultShardSize},
-		{Workers: 1, ShardSize: 7},
-		{Workers: 8, ShardSize: 7},
-		{Workers: 3, ShardSize: 13},
-	} {
-		got := summaryJSON(t, opts)
+	ref := summaryJSON(t, Options{Workers: 1})
+	for _, workers := range []int{3, 8} {
+		if got := summaryJSON(t, Options{Workers: workers}); !bytes.Equal(ref, got) {
+			t.Errorf("workers=%d: aggregate JSON differs from workers=1 reference\nref:  %s\ngot:  %s", workers, ref, got)
+		}
+	}
+	spec := detSpec()
+	for _, step := range []int{7, 13} {
+		shards := runShards(t, spec, step)
+		agg := NewAggregate(spec)
+		for i := len(shards) - 1; i >= 0; i-- {
+			if err := agg.MergeShard(shards[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := json.MarshalIndent(agg.Summary(), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(ref, got) {
-			t.Errorf("workers=%d shard=%d: aggregate JSON differs from workers=1 reference\nref:  %s\ngot:  %s",
-				opts.Workers, opts.ShardSize, ref, got)
+			t.Errorf("shards of %d merged in reverse: aggregate JSON differs from workers=1 reference\nref:  %s\ngot:  %s", step, ref, got)
 		}
 	}
 }

@@ -9,23 +9,18 @@ import (
 	"repro/internal/sim"
 )
 
-// Options tune a fleet run. The zero value uses GOMAXPROCS workers and
-// the default shard size.
+// Options tune a fleet run. The zero value uses GOMAXPROCS workers.
 type Options struct {
 	// Workers bounds the sim.RunAll pool; ≤ 0 means GOMAXPROCS. The
 	// aggregate is byte-identical for any value.
 	Workers int
-	// ShardSize is how many devices are in flight per RunAll batch;
-	// ≤ 0 means DefaultShardSize. It bounds peak memory: per-run
-	// Records live only until their shard is folded into the aggregate.
-	ShardSize int
 	// Progress, when non-nil, is called after each device's pair of
 	// runs is folded, with the number of devices done so far and the
 	// fleet size. Calls arrive in device order from a single goroutine.
 	Progress func(done, total int)
 	// RunProgress, when non-nil, receives every underlying simulation
 	// run's completion (two runs per device) as it finishes, before the
-	// device is folded — a slow shard is observable run by run instead of
+	// device is folded — a slow batch is observable run by run instead of
 	// going dark until its first fold. Indices are fleet-global: Index is
 	// the run's position in the 2×Devices run sequence, Done counts runs
 	// finished across the whole fleet, Total is 2×Devices. Calls are
@@ -40,17 +35,12 @@ type Options struct {
 	// SnapshotEvery is the fold interval between Snapshot calls; ≤ 0
 	// means DefaultSnapshotEvery.
 	SnapshotEvery int
-	// RetainRecords disables the per-run NoTrace fast mode: each run
-	// then keeps its full Record slice until its shard is folded. The
-	// aggregate is byte-identical either way — every statistic the
-	// fleet folds is streamed inside the run — so retaining records
-	// only buys debuggability at a memory and allocation cost.
-	RetainRecords bool
 }
 
-// DefaultShardSize bounds in-flight devices per batch. At two runs per
-// device and ~1–2k delivery records per 3 h run, a shard peaks in the
-// tens of megabytes regardless of fleet size.
+// DefaultShardSize is how many devices are in flight per sim.RunAll
+// batch. Every run executes in the NoTrace mode and its Result is
+// dropped once folded, so a batch peaks at a few megabytes regardless
+// of fleet size.
 const DefaultShardSize = 64
 
 // DefaultSnapshotEvery is how many device folds separate consecutive
@@ -73,30 +63,27 @@ type Result struct {
 
 // Run samples spec.Devices device configurations, executes each under
 // the base and test policies on the sim.RunAll worker pool, and streams
-// the results into online aggregates. Memory is bounded by the shard
-// size, not the fleet size: no Records, traces, or Results are retained
-// past the shard that produced them.
+// the results into the aggregate. Memory is bounded by the batch size,
+// not the fleet size: no Records, traces, or Results are retained past
+// the batch that produced them.
 //
 // Determinism: device sampling is a pure function of (Spec, index) and
-// results are folded in device order, so Run's Summary is byte-identical
-// across worker counts and shard sizes for a fixed Spec. Cancelling ctx
-// aborts the fleet with ctx's error.
+// the aggregate merges exactly, so Run's Summary is byte-identical
+// across worker counts — and to any split of the fleet into RunShard
+// ranges merged in any order. Cancelling ctx aborts the fleet with
+// ctx's error.
 //
-// Error contract: a failure mid-fleet (a poisoned shard, ctx
+// Error contract: a failure mid-fleet (a poisoned batch, ctx
 // cancellation) returns the partial *Result alongside the wrapped error
 // — the aggregate holds every device folded before the failure
 // (Result.Agg.Devices() of them) and is byte-identical to a clean run
-// of the same spec truncated to that many devices. The failed shard
+// of the same spec truncated to that many devices. The failed batch
 // contributes nothing. Only a spec that fails validation returns a nil
 // Result.
 func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	shard := opts.ShardSize
-	if shard <= 0 {
-		shard = DefaultShardSize
 	}
 	snapEvery := opts.SnapshotEvery
 	if snapEvery <= 0 {
@@ -105,61 +92,73 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 
 	start := time.Now()
 	agg := NewAggregate(spec)
-	runOpts := sim.RunAllOptions{Workers: opts.Workers}
-	devices := make([]Device, 0, shard)
-	cfgs := make([]sim.Config, 0, 2*shard)
-	for lo := 0; lo < spec.Devices; lo += shard {
-		hi := lo + shard
-		if hi > spec.Devices {
-			hi = spec.Devices
+	err := agg.run(ctx, 0, spec.Devices, opts.Workers, opts.RunProgress, func() {
+		n := agg.Devices()
+		if opts.Progress != nil {
+			opts.Progress(n, spec.Devices)
 		}
+		if opts.Snapshot != nil && (n%snapEvery == 0 || n == spec.Devices) {
+			opts.Snapshot(n, spec.Devices, agg.Summary())
+		}
+	})
+	res := &Result{Spec: spec, Agg: agg, Wall: time.Since(start)}
+	switch {
+	case err == nil:
+		return res, nil
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The caller abandoned the fleet; callers classify this with
+		// errors.Is, so do not blame the batch that was in flight.
+		return res, fmt.Errorf("fleet: cancelled after %d devices: %w", agg.Devices(), err)
+	default:
+		return res, fmt.Errorf("fleet: %w (aggregate holds %d)", err, agg.Devices())
+	}
+}
+
+// run is the batch loop Run and RunShard share: it simulates devices
+// [lo, hi) of the aggregate's spec, DefaultShardSize at a time, in the
+// NoTrace mode on the sim.RunAll pool, and folds each device in index
+// order, calling onDevice (when non-nil) after every fold. runProgress
+// (when non-nil) sees each run with Index in fleet coordinates and
+// Done/Total counted over [lo, hi).
+func (a *Aggregate) run(ctx context.Context, lo, hi, workers int, runProgress func(sim.Progress), onDevice func()) error {
+	spec := a.spec
+	runOpts := sim.RunAllOptions{Workers: workers}
+	devices := make([]Device, 0, DefaultShardSize)
+	cfgs := make([]sim.Config, 0, 2*DefaultShardSize)
+	for batchLo := lo; batchLo < hi; batchLo += DefaultShardSize {
+		batchHi := min(batchLo+DefaultShardSize, hi)
 		devices, cfgs = devices[:0], cfgs[:0]
-		for i := lo; i < hi; i++ {
+		for i := batchLo; i < batchHi; i++ {
 			d := spec.SampleDevice(i)
 			devices = append(devices, d)
 			base, test := spec.Config(d, spec.BasePolicy), spec.Config(d, spec.TestPolicy)
-			base.NoTrace = !opts.RetainRecords
-			test.NoTrace = !opts.RetainRecords
+			base.NoTrace, test.NoTrace = true, true
 			cfgs = append(cfgs, base, test)
 		}
-		if opts.RunProgress != nil {
-			// Shards run one RunAll at a time, so lifting the per-shard
-			// progress to fleet-global coordinates is a fixed offset.
-			base := 2 * lo
+		if runProgress != nil {
+			// Batches run one RunAll at a time, so lifting the batch's
+			// progress to fleet coordinates is a fixed offset.
+			index, done := 2*batchLo, 2*(batchLo-lo)
 			runOpts.Progress = func(p sim.Progress) {
-				p.Index += base
-				p.Done += base
-				p.Total = 2 * spec.Devices
-				opts.RunProgress(p)
+				p.Index += index
+				p.Done += done
+				p.Total = 2 * (hi - lo)
+				runProgress(p)
 			}
 		}
 		rs, err := sim.RunAll(ctx, cfgs, runOpts)
 		if err != nil {
-			partial := &Result{Spec: spec, Agg: agg, Wall: time.Since(start)}
-			// Distinguish the caller abandoning the fleet from a shard
-			// failing: a cancelled (or deadline-expired) context is not a
-			// device-range error, and callers classify it with errors.Is,
-			// so surface it as the fleet being cancelled rather than
-			// blaming the shard that happened to be in flight.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return partial, fmt.Errorf("fleet: cancelled after %d devices: %w", agg.Devices(), err)
-			}
-			return partial, fmt.Errorf("fleet: devices %d–%d (aggregate holds %d): %w", lo, hi-1, agg.Devices(), err)
+			return fmt.Errorf("devices %d–%d: %w", batchLo, batchHi-1, err)
 		}
 		// Fold in device order and drop the results as we go — rs is
-		// the only reference keeping each run's Records alive.
+		// the only reference keeping each run alive.
 		for k, d := range devices {
-			agg.observe(d, rs[2*k], rs[2*k+1])
+			a.observe(d, rs[2*k], rs[2*k+1])
 			rs[2*k], rs[2*k+1] = nil, nil
-			if opts.Progress != nil {
-				opts.Progress(agg.Devices(), spec.Devices)
-			}
-			if opts.Snapshot != nil {
-				if n := agg.Devices(); n%snapEvery == 0 || n == spec.Devices {
-					opts.Snapshot(n, spec.Devices, agg.Summary())
-				}
+			if onDevice != nil {
+				onDevice()
 			}
 		}
 	}
-	return &Result{Spec: spec, Agg: agg, Wall: time.Since(start)}, nil
+	return nil
 }

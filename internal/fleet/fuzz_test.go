@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -50,6 +51,45 @@ func FuzzFleetSpec(f *testing.F) {
 				if len(cfg.Workload) != len(d.Workload) {
 					t.Fatalf("config dropped workload apps: %d vs %d", len(cfg.Workload), len(d.Workload))
 				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeShard: DecodeShard reads untrusted bytes — a worker's stdout
+// and checkpoint records. It must never panic, and a frame it accepts
+// must re-encode to exactly the bytes it was given. The checksums keep
+// most mutations away from the state parser, so each input is also
+// parsed as a bare state payload: whatever validates must then merge
+// into an aggregate of a matching spec without error or panic.
+func FuzzDecodeShard(f *testing.F) {
+	specs := shardSpecs()
+	for _, spec := range specs {
+		sa, err := RunShard(context.Background(), spec, 0, 3, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(EncodeShard(sa))
+		f.Add(sa.state[frameHeaderSize : len(sa.state)-4])
+	}
+	f.Add([]byte("WFSH"))
+	f.Add(NewAggregate(specs["plain"]).EncodeState())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if sa, err := DecodeShard(data); err == nil {
+			if again := EncodeShard(sa); !bytes.Equal(again, data) {
+				t.Fatalf("decoded frame re-encodes differently:\n got %x\nwant %x", again, data)
+			}
+		}
+		if _, err := mergeState(data, nil, false); err != nil {
+			return
+		}
+		for _, spec := range specs {
+			agg := NewAggregate(spec)
+			if _, err := mergeState(data, agg, false); err != nil {
+				continue
+			}
+			if _, err := mergeState(data, agg, true); err != nil {
+				t.Fatalf("validated state failed to merge: %v", err)
 			}
 		}
 	})

@@ -29,9 +29,9 @@ func herdSpec(testPolicy string) Spec {
 	}
 }
 
-func herdSummary(t *testing.T, testPolicy string, workers, shard int) Summary {
+func herdSummary(t *testing.T, testPolicy string, workers int) Summary {
 	t.Helper()
-	res, err := Run(context.Background(), herdSpec(testPolicy), Options{Workers: workers, ShardSize: shard})
+	res, err := Run(context.Background(), herdSpec(testPolicy), Options{Workers: workers})
 	if err != nil {
 		t.Fatalf("%s: %v", testPolicy, err)
 	}
@@ -43,8 +43,8 @@ func herdSummary(t *testing.T, testPolicy string, workers, shard int) Summary {
 // shared instants at least as hard as NATIVE's, and SIMTY-J's per-device
 // phase jitter spreads that spike back out while keeping SIMTY's energy.
 func TestHerdPeakOrdering(t *testing.T) {
-	simty := herdSummary(t, "SIMTY", 4, 16)
-	simtyJ := herdSummary(t, "SIMTY-J", 4, 16)
+	simty := herdSummary(t, "SIMTY", 4)
+	simtyJ := herdSummary(t, "SIMTY-J", 4)
 
 	native := simty.Base.Backend
 	if native == nil || simty.Test.Backend == nil || simtyJ.Test.Backend == nil {
@@ -87,20 +87,29 @@ func TestHerdPeakOrdering(t *testing.T) {
 // TestHerdByteIdenticalAcrossWorkersAndShards extends the fleet
 // determinism contract to the backend fold: the marshaled herd summary —
 // merged arrival histograms, server-queue replay, retry counters — is
-// byte-identical no matter how the devices were sharded across workers.
+// byte-identical across worker counts and to the devices run as shards
+// merged in reverse order.
 func TestHerdByteIdenticalAcrossWorkersAndShards(t *testing.T) {
-	want, err := json.Marshal(herdSummary(t, "SIMTY-J", 1, 7))
+	want, err := json.Marshal(herdSummary(t, "SIMTY-J", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ workers, shard int }{{4, 7}, {1, 64}, {4, 64}} {
-		got, err := json.Marshal(herdSummary(t, "SIMTY-J", c.workers, c.shard))
-		if err != nil {
+	got, err := json.Marshal(herdSummary(t, "SIMTY-J", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("workers=4: summary differs from workers=1")
+	}
+	spec := herdSpec("SIMTY-J")
+	shards := runShards(t, spec, 7)
+	agg := NewAggregate(spec)
+	for i := len(shards) - 1; i >= 0; i-- {
+		if err := agg.MergeShard(shards[i]); err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Errorf("workers=%d shard=%d: summary differs from workers=1 shard=7",
-				c.workers, c.shard)
-		}
+	}
+	if got := marshalSummary(t, agg.Summary()); string(got) != string(want) {
+		t.Error("7-device shards merged in reverse: summary differs from workers=1")
 	}
 }

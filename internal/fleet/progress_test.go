@@ -12,21 +12,21 @@ import (
 
 // TestRunPartialAggregateOnFailure pins the error contract a service
 // cannot live without: a failure mid-fleet returns the partial Result —
-// every shard folded before the failure — alongside the wrapped error,
+// every batch folded before the failure — alongside the wrapped error,
 // and the partial aggregate is byte-identical to a clean run truncated
 // to the same device count (sampling is a pure function of (Spec, i),
 // so the first k devices of a fleet are the same devices regardless of
 // the fleet size).
 func TestRunPartialAggregateOnFailure(t *testing.T) {
-	spec := Spec{Devices: 12, Seed: 7, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}}
-	const shard = 4
+	const shard = DefaultShardSize
+	spec := Spec{Devices: shard + 6, Seed: 7, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}}
 
-	// Poison the fleet after the first shard folds: cancelling from the
-	// fold-loop Progress callback is synchronous, so shard 2's RunAll
+	// Poison the fleet after the first batch folds: cancelling from the
+	// fold-loop Progress callback is synchronous, so batch 2's RunAll
 	// starts with a dead context and contributes nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r, err := Run(ctx, spec, Options{ShardSize: shard, Progress: func(done, total int) {
+	r, err := Run(ctx, spec, Options{Progress: func(done, total int) {
 		if done == shard {
 			cancel()
 		}
@@ -48,7 +48,7 @@ func TestRunPartialAggregateOnFailure(t *testing.T) {
 	// folded devices, byte for byte.
 	truncated := spec
 	truncated.Devices = shard
-	want, err := Run(context.Background(), truncated, Options{ShardSize: shard})
+	want, err := Run(context.Background(), truncated, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +63,15 @@ func TestRunPartialAggregateOnFailure(t *testing.T) {
 }
 
 // TestRunProgressThreading checks the per-run progress path: every
-// underlying simulation run (two per device) reaches the callback with
-// fleet-global coordinates, and wiring the callback leaves the
-// aggregate byte-identical (the fold order is pinned elsewhere; this
-// guards the plumbing).
+// underlying simulation run (two per device, across two batches)
+// reaches the callback with fleet-global coordinates, and wiring the
+// callback leaves the aggregate byte-identical.
 func TestRunProgressThreading(t *testing.T) {
-	spec := Spec{Devices: 10, Seed: 3, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}}
+	spec := Spec{Devices: DefaultShardSize + 6, Seed: 3, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}}
 
 	var runs, lastDone int
 	opts := Options{
-		ShardSize: 3,
-		Workers:   2,
+		Workers: 2,
 		RunProgress: func(p sim.Progress) {
 			runs++
 			if p.Total != 2*spec.Devices {
@@ -127,7 +125,6 @@ func TestRunSnapshots(t *testing.T) {
 	}
 	var snaps []snap
 	r, err := Run(context.Background(), spec, Options{
-		ShardSize:     3,
 		SnapshotEvery: 3,
 		Snapshot: func(done, total int, s Summary) {
 			if total != spec.Devices {
@@ -168,7 +165,6 @@ func TestRunProgressConcurrentFleets(t *testing.T) {
 		go func(seed int64) {
 			spec := Spec{Devices: 6, Seed: seed, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}}
 			_, err := Run(context.Background(), spec, Options{
-				ShardSize:   2,
 				RunProgress: func(p sim.Progress) { total.Add(1) },
 			})
 			done <- err

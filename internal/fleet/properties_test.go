@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/apps"
@@ -166,5 +167,45 @@ func TestMetamorphicFleetAddingAppIsMonotone(t *testing.T) {
 	}
 	if mean := deltaSum / float64(pairs); mean <= 0 {
 		t.Errorf("mean wakeup delta after adding an app = %.2f, want positive", mean)
+	}
+}
+
+// TestPropertyMergeAnyPartitionAnyOrder: the exact-merge contract as a
+// property. Split [0, n) into random RunShard ranges, merge them in a
+// random permutation, and the Summary bytes equal fleet.Run's — for
+// both fleet shapes and several random splits each.
+func TestPropertyMergeAnyPartitionAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for name, spec := range shardSpecs() {
+		t.Run(name, func(t *testing.T) {
+			ref, err := Run(context.Background(), spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := marshalSummary(t, ref.Agg.Summary())
+			n := ref.Spec.Devices
+			for trial := 0; trial < 4; trial++ {
+				var shards []*ShardAggregate
+				for lo := 0; lo < n; {
+					hi := min(n, lo+1+rng.Intn(n/2))
+					sa, err := RunShard(context.Background(), spec, lo, hi, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					shards = append(shards, sa)
+					lo = hi
+				}
+				agg := NewAggregate(spec)
+				for _, i := range rng.Perm(len(shards)) {
+					if err := agg.MergeShard(shards[i]); err != nil {
+						t.Fatalf("trial %d: %v", trial, err)
+					}
+				}
+				if got := marshalSummary(t, agg.Summary()); string(got) != string(want) {
+					t.Fatalf("trial %d: %d shards merged in random order diverged from fleet.Run:\n got %s\nwant %s",
+						trial, len(shards), got, want)
+				}
+			}
+		})
 	}
 }

@@ -53,7 +53,7 @@ func runShards(t *testing.T, spec Spec, step int) []*ShardAggregate {
 // TestMergeShardMatchesRun is the tentpole determinism contract at the
 // library layer: splitting a fleet into shards of any size, running the
 // shards independently (any process could own any of them), and merging
-// in device order yields Summary JSON byte-identical to the
+// them forwards or backwards yields Summary JSON byte-identical to the
 // single-process fleet.Run.
 func TestMergeShardMatchesRun(t *testing.T) {
 	for name, spec := range shardSpecs() {
@@ -64,32 +64,34 @@ func TestMergeShardMatchesRun(t *testing.T) {
 			}
 			want := marshalSummary(t, ref.Agg.Summary())
 			for _, step := range []int{1, 5, 7, 24} {
-				agg := NewAggregate(spec)
-				for _, sa := range runShards(t, spec, step) {
-					if err := agg.MergeShard(sa); err != nil {
+				shards := runShards(t, spec, step)
+				forward, backward := NewAggregate(spec), NewAggregate(spec)
+				for i := range shards {
+					if err := forward.MergeShard(shards[i]); err != nil {
+						t.Fatal(err)
+					}
+					if err := backward.MergeShard(shards[len(shards)-1-i]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				got := marshalSummary(t, agg.Summary())
-				if string(got) != string(want) {
-					t.Fatalf("step %d: merged summary diverged from fleet.Run:\n got %s\nwant %s", step, got, want)
+				for _, agg := range []*Aggregate{forward, backward} {
+					if got := marshalSummary(t, agg.Summary()); string(got) != string(want) {
+						t.Fatalf("step %d: merged summary diverged from fleet.Run:\n got %s\nwant %s", step, got, want)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestMergeShardRejectsBadShards pins the merge guards: out-of-order
-// arrival, spec-hash mismatch, row-count mismatch, and backend-presence
-// mismatch are all errors, never silent corruption.
+// TestMergeShardRejectsBadShards pins the merge guards: a nil shard, a
+// spec-hash mismatch, and a range that disagrees with the state's
+// device count are all errors, never silent corruption.
 func TestMergeShardRejectsBadShards(t *testing.T) {
 	spec := shardSpecs()["plain"]
 	shards := runShards(t, spec, 8)
 
 	agg := NewAggregate(spec)
-	if err := agg.MergeShard(shards[1]); err == nil {
-		t.Error("out-of-order shard merged")
-	}
 	if err := agg.MergeShard(nil); err == nil {
 		t.Error("nil shard merged")
 	}
@@ -101,16 +103,10 @@ func TestMergeShardRejectsBadShards(t *testing.T) {
 		t.Error("shard with mismatched spec hash merged")
 	}
 
-	short := *shards[0]
-	short.Obs = short.Obs[:len(short.Obs)-1]
-	if err := NewAggregate(spec).MergeShard(&short); err == nil {
-		t.Error("shard with missing rows merged")
-	}
-
-	flipped := *shards[0]
-	flipped.HasBackend = true
-	if err := NewAggregate(spec).MergeShard(&flipped); err == nil {
-		t.Error("shard with mismatched backend presence merged")
+	long := *shards[0]
+	long.Hi++
+	if err := NewAggregate(spec).MergeShard(&long); err == nil {
+		t.Error("shard whose range exceeds its state merged")
 	}
 }
 
@@ -137,8 +133,7 @@ func TestRunCancellationClassified(t *testing.T) {
 	spec := Spec{Devices: 200, Seed: 2, Hours: 0.5}
 	var partial *Result
 	partial, err := Run(ctx, spec, Options{
-		Workers:   1,
-		ShardSize: 4,
+		Workers: 1,
 		Progress: func(done, total int) {
 			if done == 8 {
 				cancel()

@@ -3,14 +3,15 @@
 // management service would face. A Spec describes seeded distributions
 // over device configurations (app mixes, push and screen-session rates,
 // battery capacity, optional fault plans); the runner samples N devices,
-// shards them across the sim.RunAll worker pool, and streams the
-// per-device results into memory-bounded online aggregates (Welford
-// means, P² quantiles), never retaining per-run Records or traces.
+// batches them across the sim.RunAll worker pool, and streams the
+// per-device results into memory-bounded aggregates (exact sums and
+// log-bucketed quantile sketches, stats.Mergeable), never retaining
+// per-run Records or traces.
 //
 // Determinism contract: device i's configuration is a pure function of
-// (Spec, i), and results are folded in device order regardless of how
-// many workers executed the runs, so a fleet's JSON aggregate is
-// byte-identical for a fixed Spec across any worker count or shard size.
+// (Spec, i), and every aggregate merges exactly in any order, so a
+// fleet's JSON aggregate is byte-identical for a fixed Spec across any
+// worker count, shard split, or merge order.
 package fleet
 
 import (

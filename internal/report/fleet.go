@@ -71,7 +71,7 @@ func Fleet(o Options) (*Table, error) {
 	addDist(s.TestPolicy+" energy (J)", s.Test.EnergyMJ, 1e-3, 1)
 	addDist(s.TestPolicy+" imperc delay (%)", s.Test.ImperceptibleDelay, 100, 1)
 
-	t.AddNote("%d devices (%d with an injected wakelock leak) streamed through online aggregates in %.1fs; P50/P95/P99 are P² estimates.",
+	t.AddNote("%d devices (%d with an injected wakelock leak) streamed through mergeable aggregates in %.1fs; P50/P95/P99 are sketch estimates within 1/128 relative error.",
 		s.Devices, s.LeakyDevices, r.Wall.Seconds())
 	t.AddNote("%s delivered %d perceptible alarms past their window (max normalized delay %.3f); %d wakeup alarms past grace. Nonzero counts under real wake latency come from the 0.4–1.4 s resume time, not the policy.",
 		s.TestPolicy, s.Test.PerceptibleLate, s.Test.MaxPerceptibleDelay, s.Test.GraceLate)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // TestCheckpointResumeRunsOnlyMissingShards is the acceptance scenario:
@@ -195,43 +197,77 @@ func TestCheckpointRejectsGarbageFile(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeSkipsStateReplay: once an 'A' record covers a
-// prefix, resume restores the state instead of replaying those shard
-// frames — verified by corrupting an early shard record that the state
-// has superseded.
-func TestCheckpointResumeSkipsStateReplay(t *testing.T) {
-	spec := testSpec(false)
+// TestCheckpointValidatesRecordsAgainstPlan drives resume over
+// hand-built logs: a repeated shard record is merged once, never
+// double-counted, and a record whose (Index, Lo, Hi) is not in the plan
+// fails the resume before anything runs.
+func TestCheckpointValidatesRecordsAgainstPlan(t *testing.T) {
+	spec := testSpec(false) // 20 devices: shards [0, 10) and [10, 20)
 	want := cleanSummary(t, spec)
-	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
-	opts := testOptions(t, nil)
-	opts.ShardSize = 4
-	opts.Checkpoint = ckpt
-	if _, err := Run(context.Background(), spec, opts); err != nil {
-		t.Fatal(err)
+	frame := func(index, lo, hi int) []byte {
+		sa, err := fleet.RunShard(context.Background(), spec, lo, hi, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa.Index = index
+		return fleet.EncodeShard(sa)
 	}
-	// Load to find the final state record; the log must end with one
-	// covering all shards (CheckpointEvery defaults to 1).
-	ck, st, err := loadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
+	writeLog := func(frames ...[]byte) string {
+		path := filepath.Join(t.TempDir(), "fleet.ckpt")
+		ck, err := createCheckpoint(path, spec, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames {
+			if err := ck.appendShard(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	ck.Close()
-	if st.foldedShards != 5 || st.state == nil {
-		t.Fatalf("log's final state covers %d shards, want 5", st.foldedShards)
+	resume := func(path string) (*Result, error) {
+		opts := testOptions(t, nil)
+		opts.ShardSize = 10
+		opts.Checkpoint = path
+		opts.Resume = true
+		return Run(context.Background(), spec, opts)
+	}
+	s0, s1 := frame(0, 0, 10), frame(1, 10, 20)
+
+	for name, c := range map[string]struct {
+		log      [][]byte
+		attempts int
+	}{
+		"every shard repeated": {[][]byte{s0, s1, s0, s1, s0}, 0},
+		"one shard repeated":   {[][]byte{s1, s1}, 1},
+	} {
+		res, err := resume(writeLog(c.log...))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Attempts != c.attempts || res.Completed != 2 || res.Resumed != 2-c.attempts {
+			t.Fatalf("%s: attempts=%d completed=%d resumed=%d, want %d, 2, %d",
+				name, res.Attempts, res.Completed, res.Resumed, c.attempts, 2-c.attempts)
+		}
+		if got := resultSummary(t, res); !bytes.Equal(got, want) {
+			t.Fatalf("%s: a repeated record was double-counted:\n got %s\nwant %s", name, got, want)
+		}
 	}
 
-	opts2 := testOptions(t, nil)
-	opts2.ShardSize = 4
-	opts2.Checkpoint = ckpt
-	opts2.Resume = true
-	res, err := Run(context.Background(), spec, opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Attempts != 0 {
-		t.Fatalf("state-backed resume launched %d attempts, want 0", res.Attempts)
-	}
-	if got := resultSummary(t, res); !bytes.Equal(got, want) {
-		t.Fatal("state-backed resumed summary diverged")
+	for name, bad := range map[string][]byte{
+		"index beyond the plan":  frame(2, 10, 20),
+		"range of another shard": frame(1, 0, 10),
+		"range not in the plan":  frame(0, 0, 5),
+	} {
+		res, err := resume(writeLog(s0, bad))
+		if err == nil || res != nil {
+			t.Fatalf("%s: resume = (%v, %v), want (nil, error)", name, res, err)
+		}
+		if !strings.Contains(err.Error(), "plan") {
+			t.Fatalf("%s: error %q does not name the plan", name, err)
+		}
 	}
 }

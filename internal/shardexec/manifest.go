@@ -2,9 +2,9 @@
 // processes and survives their deaths. A supervisor splits the fleet's
 // device range into shard manifests, hands each to a child worker
 // process (the wakesim binary re-invoked in -shardworker mode), and
-// merges the returned shard aggregates in device order — which, by the
-// fleet package's observation-replay design, makes the final Summary
-// JSON byte-identical to a single-process fleet.Run regardless of the
+// merges the returned shard aggregates as they complete — the fleet
+// aggregate merges exactly in any order, so the final Summary JSON is
+// byte-identical to a single-process fleet.Run regardless of the
 // process count or which workers crashed along the way.
 //
 // Robustness is the point of the package: each shard gets a per-attempt
@@ -12,10 +12,10 @@
 // gets SIGKILLed, hangs, or emits a truncated or corrupt frame is
 // detected and its shard re-run; a shard that keeps failing is
 // quarantined after a bounded number of attempts and the run returns a
-// partial result with joined errors, mirroring fleet.Run's contract. An
-// optional checkpoint file (an append-only, checksummed record log)
-// persists completed shards and the merged prefix state, so a run
-// killed mid-flight resumes by re-running only the missing shards.
+// partial result with joined errors. An optional checkpoint file (an
+// append-only, checksummed record log) persists every merged shard, so
+// a run killed mid-flight resumes by merging the logged shards and
+// re-running only the missing ones.
 package shardexec
 
 import (

@@ -32,9 +32,6 @@ const (
 	// doubles per retry up to maxRetryBackoff.
 	DefaultRetryBackoff = 250 * time.Millisecond
 	maxRetryBackoff     = 5 * time.Second
-	// DefaultCheckpointEvery is how many merged shards separate 'A'
-	// (aggregate state) records in the checkpoint.
-	DefaultCheckpointEvery = 1
 )
 
 // Options tune a fleet run. Procs chooses the execution: 0 runs the
@@ -74,10 +71,6 @@ type Options struct {
 	// must match. A missing or empty file starts fresh. Worker
 	// processes only.
 	Resume bool
-	// CheckpointEvery is how many merged shards separate aggregate-state
-	// records in the log; ≤ 0 means DefaultCheckpointEvery. Worker
-	// processes only.
-	CheckpointEvery int
 	// WorkerArgv is the child command line; empty means the current
 	// executable with the single argument "-shardworker" (the wakesim
 	// protocol). Tests point this at a re-executed test binary. Worker
@@ -87,17 +80,18 @@ type Options struct {
 	// worker. Worker processes only.
 	WorkerEnv []string
 	// Progress, when non-nil, is called with the devices folded so far
-	// and the fleet size: after every device in-process, after every
-	// shard merge with worker processes. Calls arrive in device order
-	// from one goroutine.
+	// and the fleet size from one goroutine: after every device
+	// in-process, in device order; after every shard merge with worker
+	// processes, in completion order.
 	Progress func(done, total int)
 	// RunProgress, when non-nil, receives every simulation run's
 	// completion in fleet-global coordinates (fleet.Options.RunProgress).
 	// In-process only: worker processes report whole shards.
 	RunProgress func(sim.Progress)
-	// Snapshot, when non-nil, receives a Summary of the folded device
-	// prefix each time the folded-device count reaches or crosses a
-	// multiple of SnapshotEvery, and after the last device.
+	// Snapshot, when non-nil, receives a Summary of the folded devices
+	// each time their count reaches or crosses a multiple of
+	// SnapshotEvery, and after the last device. With worker processes the
+	// folded devices are the shards merged so far, in completion order.
 	Snapshot func(done, total int, s fleet.Summary)
 	// SnapshotEvery is in devices; ≤ 0 means fleet.DefaultSnapshotEvery.
 	// With worker processes a snapshot can only follow a shard merge, so
@@ -126,10 +120,12 @@ type ShardEvent struct {
 // in-process.
 type Result struct {
 	Spec fleet.Spec
-	// Agg holds the merged aggregate: the whole fleet on success, the
-	// longest contiguous device prefix on quarantine or cancellation.
+	// Agg holds the merged aggregate: the whole fleet on success; on
+	// quarantine or cancellation, every shard that completed (in-process,
+	// the devices folded before the failure).
 	Agg *fleet.Aggregate
-	// Shards is the plan size; Completed counts shards merged into Agg.
+	// Shards is the plan size; Completed counts shards merged into Agg,
+	// resumed ones included.
 	Shards, Completed int
 	// Resumed counts shards recovered from the checkpoint instead of
 	// re-run.
@@ -157,20 +153,23 @@ type shardResult struct {
 
 // Run executes the spec's fleet — in this process when opts.Procs is 0,
 // across supervised worker processes when it is positive — and is the
-// one place that choice is made. Worker shard results are merged in
-// device order, so the Summary of the returned aggregate is
+// one place that choice is made. Worker shard results merge exactly in
+// completion order, so the Summary of the returned aggregate is
 // byte-identical to an in-process run of the same spec regardless of
 // Procs, ShardSize, worker crashes, retries, or a checkpoint resume in
-// the middle.
+// the middle. Each planned shard merges at most once, and a worker reply
+// or checkpoint record whose (Index, Lo, Hi) is not in the plan is
+// rejected.
 //
-// Error contract (fleet.Run's, in both modes): a failed or quarantined
-// shard or a cancelled context returns the partial *Result alongside
-// the error — the aggregate holds the longest contiguous device prefix,
-// and with worker processes the error joins every quarantined shard's
-// attempt errors. Cancellation is classified: errors.Is(err,
-// context.Canceled) (or DeadlineExceeded) identifies a caller abort
-// rather than a shard failure. Only a spec or options failure returns a
-// nil Result.
+// Error contract: a failed or quarantined shard or a cancelled context
+// returns the partial *Result alongside the error. In-process the
+// aggregate holds the devices folded before the failure (fleet.Run's
+// contract); with worker processes it holds every shard that completed,
+// and the error joins every quarantined shard's attempt errors.
+// Cancellation is classified: errors.Is(err, context.Canceled) (or
+// DeadlineExceeded) identifies a caller abort rather than a shard
+// failure. Only a spec, options or checkpoint failure returns a nil
+// Result.
 func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	switch {
 	case opts.Procs < 0:
@@ -212,10 +211,6 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 	if backoff0 <= 0 {
 		backoff0 = DefaultRetryBackoff
 	}
-	ckEvery := opts.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = DefaultCheckpointEvery
-	}
 	snapEvery := opts.SnapshotEvery
 	if snapEvery <= 0 {
 		snapEvery = fleet.DefaultSnapshotEvery
@@ -250,44 +245,64 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 	}
 
 	res := &Result{Spec: spec, Shards: shards, Agg: fleet.NewAggregate(spec)}
-	merged := 0 // shards folded into res.Agg
-	// pending holds completed shards waiting for their turn in the
-	// device-order merge (out-of-order worker completions, and
-	// checkpointed shards beyond a gap).
-	pending := make(map[int]*fleet.ShardAggregate)
+	merged := make([]bool, shards)
+	// merge folds one completed shard in whatever order it arrives. The
+	// shard must be in the plan; one already merged is skipped, so no
+	// device range is ever counted twice.
+	merge := func(sa *fleet.ShardAggregate) (bool, error) {
+		if sa.Index < 0 || sa.Index >= shards {
+			return false, fmt.Errorf("shardexec: shard %d is not in the %d-shard plan", sa.Index, shards)
+		}
+		if lo, hi := rangeOf(sa.Index); sa.Lo != lo || sa.Hi != hi {
+			return false, fmt.Errorf("shardexec: shard %d covers [%d, %d), the plan says [%d, %d)", sa.Index, sa.Lo, sa.Hi, lo, hi)
+		}
+		if merged[sa.Index] {
+			return false, nil
+		}
+		before := res.Agg.Devices()
+		if err := res.Agg.MergeShard(sa); err != nil {
+			return false, err
+		}
+		merged[sa.Index] = true
+		res.Completed++
+		n := res.Agg.Devices()
+		if opts.Progress != nil {
+			opts.Progress(n, spec.Devices)
+		}
+		if opts.Snapshot != nil && (n/snapEvery > before/snapEvery || n == spec.Devices) {
+			opts.Snapshot(n, spec.Devices, res.Agg.Summary())
+		}
+		return true, nil
+	}
 
 	var ck *checkpoint
 	if opts.Checkpoint != "" {
-		var st *checkpointState
+		var recovered []*fleet.ShardAggregate
 		var err error
-		ck, st, err = openOrCreate(opts.Checkpoint, spec, shardSize, opts.Resume)
+		ck, recovered, err = openOrCreate(opts.Checkpoint, spec, shardSize, opts.Resume)
 		if err != nil {
 			return nil, err
 		}
 		defer ck.Close()
-		if st != nil {
-			if err := restoreFromCheckpoint(res, st, pending, &merged, shardSize); err != nil {
-				return nil, err
+		for _, sa := range recovered {
+			ok, err := merge(sa)
+			if err != nil {
+				return nil, fmt.Errorf("shardexec: checkpoint %s: %w", opts.Checkpoint, err)
 			}
-			for idx := range pending {
-				lo, hi := rangeOf(idx)
-				emit(ShardEvent{Index: idx, Lo: lo, Hi: hi, State: "cached"})
-			}
-			for i := 0; i < merged; i++ {
-				lo, hi := rangeOf(i)
-				emit(ShardEvent{Index: i, Lo: lo, Hi: hi, State: "cached"})
+			if ok {
+				res.Resumed++
+				emit(ShardEvent{Index: sa.Index, Lo: sa.Lo, Hi: sa.Hi, State: "cached"})
 			}
 		}
 	}
 
 	// The plan: every shard not recovered from the checkpoint.
 	var todo []int
-	for i := merged; i < shards; i++ {
-		if _, ok := pending[i]; !ok {
+	for i, done := range merged {
+		if !done {
 			todo = append(todo, i)
 		}
 	}
-	res.Resumed = shards - len(todo)
 
 	jobs := make(chan int)
 	results := make(chan shardResult)
@@ -315,52 +330,21 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 		close(jobs)
 	}()
 
-	// mergeReady folds every contiguously-available shard, emitting
-	// progress, snapshots, and checkpoint state records as it goes.
 	var mergeErr error
-	sinceState := 0
-	mergeReady := func() {
-		for {
-			sa, ok := pending[merged]
-			if !ok {
-				return
-			}
-			before := res.Agg.Devices()
-			if err := res.Agg.MergeShard(sa); err != nil {
-				// A merge failure is a supervisor bug or a poisoned
-				// checkpoint; surface it and stop merging.
-				if mergeErr == nil {
-					mergeErr = err
-					aborted.Store(true)
-				}
-				return
-			}
-			delete(pending, merged)
-			merged++
-			res.Completed++
-			sinceState++
-			if opts.Progress != nil {
-				opts.Progress(res.Agg.Devices(), spec.Devices)
-			}
-			if n := res.Agg.Devices(); opts.Snapshot != nil && (n/snapEvery > before/snapEvery || merged == shards) {
-				opts.Snapshot(n, spec.Devices, res.Agg.Summary())
-			}
-			if ck != nil && (sinceState >= ckEvery || merged == shards) {
-				if err := ck.appendState(merged, res.Agg.EncodeState()); err != nil && mergeErr == nil {
-					mergeErr = err
-					aborted.Store(true)
-				}
-				sinceState = 0
-			}
+	fail := func(err error) {
+		if mergeErr == nil {
+			mergeErr = err
+			aborted.Store(true)
 		}
 	}
-	mergeReady() // checkpointed shards beyond the restored prefix
-
 	var quarantineErrs []error
 	cancelled := false
 	for received := 0; received < len(todo); received++ {
 		r := <-results
 		if r.skipped {
+			// A shard skipped after the caller cancelled never ran: the
+			// run is cancelled even when no in-flight attempt saw it.
+			cancelled = cancelled || ctx.Err() != nil
 			continue
 		}
 		res.Attempts += r.attempts
@@ -374,19 +358,19 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 				res.Quarantined = append(res.Quarantined, r.index)
 				quarantineErrs = append(quarantineErrs, fmt.Errorf("shard %d: %w", r.index, r.err))
 			}
-			// Either way no more dispatching: the device-order merge
-			// cannot advance past a hole.
+			// Either way no more dispatching: the run has failed.
 			aborted.Store(true)
 			continue
 		}
-		if ck != nil {
-			if err := ck.appendShard(r.frame); err != nil && mergeErr == nil {
-				mergeErr = err
-				aborted.Store(true)
+		// Only a merged shard reaches the checkpoint, so every record a
+		// resume reads is one this plan accepted.
+		if _, err := merge(r.sa); err != nil {
+			fail(err)
+		} else if ck != nil {
+			if err := ck.appendShard(r.frame); err != nil {
+				fail(err)
 			}
 		}
-		pending[r.index] = r.sa
-		mergeReady()
 	}
 	wg.Wait()
 	close(results)
@@ -407,8 +391,9 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 }
 
 // openOrCreate resolves the checkpoint file: load-and-validate when
-// resuming onto an existing log, fresh log otherwise.
-func openOrCreate(path string, spec fleet.Spec, shardSize int, resume bool) (*checkpoint, *checkpointState, error) {
+// resuming onto an existing log, fresh log otherwise. It returns the
+// shards the log recovered, in log order.
+func openOrCreate(path string, spec fleet.Spec, shardSize int, resume bool) (*checkpoint, []*fleet.ShardAggregate, error) {
 	if resume {
 		if info, err := os.Stat(path); err == nil && info.Size() > 0 {
 			ck, st, err := loadCheckpoint(path)
@@ -428,46 +413,11 @@ func openOrCreate(path string, spec fleet.Spec, shardSize int, resume bool) (*ch
 				ck.Close()
 				return nil, nil, fmt.Errorf("shardexec: checkpoint device count %d does not match spec %d", st.header.Devices, spec.Devices)
 			}
-			return ck, st, nil
+			return ck, st.shards, nil
 		}
 	}
 	ck, err := createCheckpoint(path, spec, shardSize)
 	return ck, nil, err
-}
-
-// restoreFromCheckpoint rebuilds the supervisor's merge state from a
-// loaded log: restore the latest aggregate state, then stage every
-// shard frame at or beyond the restored prefix for the in-order merge.
-func restoreFromCheckpoint(res *Result, st *checkpointState, pending map[int]*fleet.ShardAggregate, merged *int, shardSize int) error {
-	if st.state != nil {
-		if err := res.Agg.RestoreState(st.state); err != nil {
-			return fmt.Errorf("shardexec: restore checkpoint state: %w", err)
-		}
-		*merged = st.foldedShards
-		if got, want := res.Agg.Devices(), prefixDevices(st.foldedShards, shardSize, res.Spec.Devices); got != want {
-			return fmt.Errorf("shardexec: checkpoint state holds %d devices, want %d for %d shards", got, want, st.foldedShards)
-		}
-	}
-	for idx, frame := range st.shards {
-		if idx < *merged {
-			continue // already inside the restored prefix
-		}
-		sa, err := fleet.DecodeShard(frame)
-		if err != nil {
-			return fmt.Errorf("shardexec: checkpoint shard %d: %w", idx, err)
-		}
-		pending[idx] = sa
-	}
-	return nil
-}
-
-// prefixDevices is how many devices the first n shards cover.
-func prefixDevices(n, shardSize, total int) int {
-	d := n * shardSize
-	if d > total {
-		d = total
-	}
-	return d
 }
 
 // runShardProcess executes one shard to completion: launch a worker,

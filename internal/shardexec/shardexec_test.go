@@ -253,15 +253,21 @@ func TestRunSurvivesTransientFaults(t *testing.T) {
 }
 
 // TestRunQuarantinesPoisonShard: a shard that fails every attempt is
-// quarantined after MaxAttempts; the run returns the longest contiguous
-// prefix (byte-identical to a truncated clean run) plus joined errors —
-// and the error is NOT classified as a cancellation.
+// quarantined after MaxAttempts; the run returns every shard that
+// completed (byte-identical to merging those shards' ranges) plus joined
+// errors — and the error is NOT classified as a cancellation.
 func TestRunQuarantinesPoisonShard(t *testing.T) {
 	spec := testSpec(false)
 	opts := testOptions(t, map[string]fault{"2": {Mode: "exit3"}})
 	opts.Procs = 2
 	opts.ShardSize = 4
 	opts.MaxAttempts = 2
+	var completed []ShardEvent
+	opts.OnShard = func(ev ShardEvent) {
+		if ev.State == "ok" {
+			completed = append(completed, ev)
+		}
+	}
 	res, err := Run(context.Background(), spec, opts)
 	if err == nil {
 		t.Fatal("poison shard did not fail the run")
@@ -275,13 +281,32 @@ func TestRunQuarantinesPoisonShard(t *testing.T) {
 	if len(res.Quarantined) != 1 || res.Quarantined[0] != 2 {
 		t.Fatalf("quarantined = %v, want [2]", res.Quarantined)
 	}
-	if n := res.Agg.Devices(); n != 8 {
-		t.Fatalf("partial aggregate holds %d devices, want the 8 before the poison shard", n)
+	// Shards 0 and 1 were in flight before shard 2 was dispatched.
+	if res.Completed != len(completed) || res.Completed < 2 {
+		t.Fatalf("completed %d shards, %d ok events; want them equal and ≥ 2", res.Completed, len(completed))
 	}
-	truncated := spec
-	truncated.Devices = 8
-	if got, want := resultSummary(t, res), cleanSummary(t, truncated); !bytes.Equal(got, want) {
-		t.Fatalf("partial prefix diverged from clean 8-device run:\n got %s\nwant %s", got, want)
+	if n := res.Agg.Devices(); n != 4*res.Completed {
+		t.Fatalf("partial aggregate holds %d devices for %d completed 4-device shards", n, res.Completed)
+	}
+	want := fleet.NewAggregate(spec)
+	for _, ev := range completed {
+		if ev.Index == 2 {
+			t.Fatal("the poison shard reported ok")
+		}
+		sa, err := fleet.RunShard(context.Background(), spec, ev.Lo, ev.Hi, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.MergeShard(sa); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantJSON, err := json.Marshal(want.Summary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultSummary(t, res); !bytes.Equal(got, wantJSON) {
+		t.Fatalf("partial aggregate diverged from its completed shards:\n got %s\nwant %s", got, wantJSON)
 	}
 }
 
@@ -348,8 +373,10 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 // TestRunChoosesExecution pins Run as the one place the execution is
 // chosen: Procs 0 runs in-process with Summary bytes equal to fleet.Run
 // and to worker processes, forwarding Progress, RunProgress and
-// Snapshot (SnapshotEvery in devices in both modes); options that need
-// worker processes, and any negative Procs, are rejected with a nil
+// Snapshot (SnapshotEvery in devices in both modes; with worker
+// processes the positions follow shard completion order, so only each
+// snapshot's device count and the final one are pinned); options that
+// need worker processes, and any negative Procs, are rejected with a nil
 // Result before anything runs.
 func TestRunChoosesExecution(t *testing.T) {
 	spec := testSpec(true) // 20 devices
@@ -366,7 +393,7 @@ func TestRunChoosesExecution(t *testing.T) {
 	}{
 		{name: "in-process", progress: 20, runs: 40, snapshots: []int{8, 16, 20}},
 		{name: "in-process/workers=1", opts: Options{Workers: 1}, progress: 20, runs: 40, snapshots: []int{8, 16, 20}},
-		{name: "procs=2", opts: sharded, progress: 4, snapshots: []int{12, 18, 20}},
+		{name: "procs=2", opts: sharded, progress: 4},
 		{name: "in-process/checkpoint", opts: Options{Checkpoint: ckpt}, wantErr: true},
 		{name: "in-process/resume", opts: Options{Resume: true}, wantErr: true},
 		{name: "in-process/worker-timeout", opts: Options{WorkerTimeout: time.Minute}, wantErr: true},
@@ -383,6 +410,9 @@ func TestRunChoosesExecution(t *testing.T) {
 			opts.Progress = func(done, total int) { progress++ }
 			opts.RunProgress = func(sim.Progress) { runs++ }
 			opts.Snapshot = func(done, total int, s fleet.Summary) {
+				if s.Devices != done {
+					t.Errorf("snapshot at done=%d reports %d devices", done, s.Devices)
+				}
 				snapshots = append(snapshots, done)
 				last = s
 			}
@@ -402,8 +432,11 @@ func TestRunChoosesExecution(t *testing.T) {
 			if progress != tc.progress || runs != tc.runs {
 				t.Fatalf("progress=%d runs=%d, want %d and %d", progress, runs, tc.progress, tc.runs)
 			}
-			if !slices.Equal(snapshots, tc.snapshots) {
+			if tc.snapshots != nil && !slices.Equal(snapshots, tc.snapshots) {
 				t.Fatalf("snapshots at %v devices, want %v", snapshots, tc.snapshots)
+			}
+			if len(snapshots) == 0 || snapshots[len(snapshots)-1] != spec.Devices {
+				t.Fatalf("snapshots at %v devices, want the last at %d", snapshots, spec.Devices)
 			}
 			if blob, _ := json.Marshal(last); !bytes.Equal(blob, want) {
 				t.Fatal("final snapshot differs from the result summary")

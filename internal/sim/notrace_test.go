@@ -28,7 +28,7 @@ func notraceConfig(policy string) Config {
 
 // comparable strips the fields NoTrace legitimately changes (Records,
 // Trace) and the config itself, leaving everything the mode promises to
-// keep byte-identical.
+// keep byte-identical — every value the fleet layer folds among them.
 type comparableResult struct {
 	PolicyName   string
 	Energy       interface{}
@@ -38,6 +38,7 @@ type comparableResult struct {
 	Wakeups      metrics.Breakdown
 	SpkVib       metrics.Row
 	Guarantees   metrics.Guarantees
+	AoI          metrics.AoIStats
 	WakeGaps     metrics.IntervalStats
 	FinalWakeups int
 	Pushes       int
@@ -53,6 +54,7 @@ func comparable(r *Result) comparableResult {
 		Wakeups:      r.Wakeups,
 		SpkVib:       r.SpkVib,
 		Guarantees:   r.Guarantees,
+		AoI:          r.AoI,
 		WakeGaps:     r.WakeGaps,
 		FinalWakeups: r.FinalWakeups,
 		Pushes:       r.Pushes,

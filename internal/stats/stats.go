@@ -1,9 +1,9 @@
 // Package stats provides the small statistical toolkit the evaluation
 // needs: means, standard deviations, confidence half-widths for the
 // three-trial averages the paper reports, simple aggregation over
-// repeated simulation runs, and memory-bounded streaming estimators
-// (Welford mean/variance, P² quantiles) for fleet-scale populations
-// where per-run values cannot be retained.
+// repeated simulation runs, memory-bounded streaming estimators
+// (Welford mean/variance, P² quantiles) for long series, and the exactly
+// mergeable Mergeable for fleet-scale populations split across shards.
 package stats
 
 import (

@@ -5,13 +5,12 @@ import (
 	"sort"
 )
 
-// The fleet simulator aggregates metrics over populations far too large
-// to retain per-run values (10k devices × several metrics × two
-// policies), so this file provides memory-bounded streaming estimators:
+// Memory-bounded streaming estimators for series too long to retain
+// (the backend model's per-bucket load series, internal/metrics):
 // Welford's online mean/variance recurrence and the P² algorithm (Jain &
 // Chlamtac, CACM 1985) for quantiles. Both are pure arithmetic over a
-// fixed fold order, which is what lets fleet aggregates stay
-// byte-identical regardless of how many workers produced the inputs.
+// fixed fold order, so they are deterministic within one series but
+// cannot be merged exactly; fleet aggregates use Mergeable instead.
 
 // Welford accumulates count, mean, and variance online in O(1) space
 // using Welford's numerically stable recurrence, plus running min/max.

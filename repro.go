@@ -87,8 +87,8 @@ type (
 	// distributions over app mixes, rates, battery capacity, and faults
 	// (see internal/fleet).
 	FleetSpec = fleet.Spec
-	// FleetOptions tunes a fleet run: worker count, shard size, and the
-	// progress layers (per-device folds, per-run completions, periodic
+	// FleetOptions tunes a fleet run: worker count and the progress
+	// layers (per-device folds, per-run completions, periodic
 	// aggregate snapshots — the hooks cmd/wakesimd streams over SSE).
 	FleetOptions = fleet.Options
 	// FleetResult is a finished fleet run; Result.Agg.Summary() is its
