@@ -59,6 +59,7 @@ verify: vet build
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simclock/ -run '^$$' -fuzz '^FuzzClockPool$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzManifestJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tournament/ -run '^$$' -fuzz '^FuzzTournamentSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test -count=1 -run 'TestRunSurvivesTransientFaults|TestRunQuarantinesPoisonShard|TestRunKillsHungWorker|TestCheckpointResumeRunsOnlyMissingShards' ./internal/shardexec/
 	$(MAKE) cover
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime 2m
 	$(GO) test ./internal/simclock/ -run '^$$' -fuzz '^FuzzClockPool$$' -fuzztime 2m
 	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzManifestJSON$$' -fuzztime 2m
+	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 2m
 	$(GO) test ./internal/tournament/ -run '^$$' -fuzz '^FuzzTournamentSpec$$' -fuzztime 2m
 
 vet:

@@ -615,10 +615,3 @@ func writeFile(path string, fn func(*os.File) error) error {
 	defer f.Close()
 	return fn(f)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -24,6 +24,7 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`[{"name":"A","period_s":NaN}]`))
 	f.Add([]byte(`{"not":"a list"}`))
 	f.Add([]byte(`[{"name":"A","period_s":60,"hw":["warp-drive"]}]`))
+	f.Add([]byte(`[{"name":"A","period_s":60,"nonwakeup":true}]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs, err := ReadSpecs(bytes.NewReader(data))
@@ -73,6 +74,8 @@ func TestReadSpecsRejectsHostileInputs(t *testing.T) {
 		{"bad alpha", `[{"name":"A","period_s":60,"alpha":2}]`, "alpha"},
 		{"unknown hw", `[{"name":"A","period_s":60,"hw":["warp-drive"]}]`, "unknown component"},
 		{"empty name", `[{"period_s":60}]`, "name"},
+		{"unknown field", `[{"name":"A","period_s":60,"nonwakeup":true}]`, "nonwakeup"},
+		{"trailing data", `[{"name":"A","period_s":60}] [{"name":"B","period_s":60}]`, "trailing data"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/simclock"
+	"repro/internal/strictjson"
 )
 
 // maxSpecSeconds bounds period_s and task_s: conversions beyond it
@@ -58,10 +59,11 @@ func WriteSpecs(w io.Writer, specs []Spec) error {
 }
 
 // ReadSpecs parses a workload file written by WriteSpecs (or by hand)
-// and validates each spec.
+// and validates each spec. The file is decoded strictly: an unknown
+// field (a misspelled "nonwakeup") or data after the array is an error.
 func ReadSpecs(r io.Reader) ([]Spec, error) {
 	var raw []specJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	if err := strictjson.Decode(r, &raw); err != nil {
 		return nil, fmt.Errorf("apps: decode workload: %w", err)
 	}
 	specs := make([]Spec, 0, len(raw))

@@ -36,12 +36,7 @@ func (s *DeviceStats) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *DeviceStats) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(make([]byte, 0, DeviceStatsBinarySize)), nil
-}
-
-// UnmarshalBinary restores the counters written by MarshalBinary. Hist
+// UnmarshalBinary restores the counters written by AppendBinary. Hist
 // is left untouched.
 func (s *DeviceStats) UnmarshalBinary(data []byte) error {
 	if len(data) != DeviceStatsBinarySize {
@@ -79,12 +74,7 @@ func (h *Histogram) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (h *Histogram) MarshalBinary() ([]byte, error) {
-	return h.AppendBinary(make([]byte, 0, 12+16*len(h.Buckets))), nil
-}
-
-// UnmarshalBinary restores a histogram written by MarshalBinary,
+// UnmarshalBinary restores a histogram written by AppendBinary,
 // rejecting truncated, oversized, or structurally invalid payloads.
 func (h *Histogram) UnmarshalBinary(data []byte) error {
 	if len(data) < 12 {

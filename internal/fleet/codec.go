@@ -12,34 +12,35 @@ import (
 	"repro/internal/stats"
 )
 
-// Framed binary formats for the multi-process fleet protocol. Two frame
-// kinds share one envelope:
+// The multi-process fleet protocol's one binary format, the WFSH frame:
 //
-//	[magic 4][version u16][payload length u32][payload][crc32c u32]
+//	[magic "WFSH" 4][version u16][payload length u32][payload][crc32c u32]
+//	payload = [shard index u32][lo u64][hi u64][aggregate state]
 //
-// "WFAG" frames carry an Aggregate's state (EncodeState). "WFSH" frames
-// carry a ShardAggregate — what a shard-worker process writes to stdout
-// and what the checkpoint persists per shard: the shard's index and
-// device range followed by the WFAG frame of the aggregate over that
-// range. Every part of the state merges exactly, so a frame's size
-// depends on the spread of the metrics, not on the number of devices.
+// A frame carries one ShardAggregate: what a shard-worker process writes
+// to stdout, and what the supervisor appends to its checkpoint, which is
+// nothing but the concatenation of the frames it merged (DecodeShardLog
+// reads one back). The aggregate state (EncodeState) is the spec hash,
+// the device counts, and every distribution and counter of the range's
+// aggregate. Every part of it merges exactly, so a frame's size depends
+// on the spread of the metrics, not on the number of devices.
 //
-// The CRC (Castagnoli) covers the envelope header and payload, so a
-// truncated pipe, a torn checkpoint tail, or a flipped bit decodes as a
-// loud error instead of a silently wrong summary. Fixed-width integers
-// are little-endian, counts are varints, and floats cross as their
-// IEEE-754 bit patterns.
+// The CRC (Castagnoli) covers everything before it — magic, version,
+// length and payload — so a truncated pipe, a torn checkpoint tail, or a
+// flipped bit decodes as a loud error instead of a silently wrong
+// summary. Fixed-width integers are little-endian, counts are varints,
+// and floats cross as their IEEE-754 bit patterns.
 
 const (
 	shardMagic = "WFSH"
-	stateMagic = "WFAG"
 
-	// CodecVersion is the on-wire version of both frame kinds. Bump it
-	// on any layout change: a supervisor refuses frames from a worker
-	// or checkpoint of a different version instead of misparsing them.
+	// CodecVersion is the on-wire version of the frame. Bump it on any
+	// layout change: a supervisor refuses frames from a worker or
+	// checkpoint of a different version instead of misparsing them.
 	// v3 replaced the per-device observation rows with the exactly
-	// mergeable aggregate state.
-	CodecVersion = 3
+	// mergeable aggregate state; v4 carries that state unwrapped, with no
+	// inner frame of its own.
+	CodecVersion = 4
 
 	frameHeaderSize = 4 + 2 + 4
 	// shardHeaderSize is the index and range in front of a shard's state.
@@ -48,42 +49,33 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// beginFrame starts an envelope with room for a payload of about
-// sizeHint bytes; endFrame closes it.
-func beginFrame(magic string, sizeHint int) []byte {
-	b := make([]byte, frameHeaderSize, frameHeaderSize+sizeHint+4)
-	copy(b, magic)
-	binary.LittleEndian.PutUint16(b[4:], CodecVersion)
-	return b
-}
+// errTorn marks bytes that do not begin with a whole frame whose
+// checksum verifies: a truncated write, or not a frame at all.
+var errTorn = errors.New("fleet: torn shard frame")
 
-// endFrame fills in the payload length and appends the checksum.
-func endFrame(b []byte) []byte {
-	binary.LittleEndian.PutUint32(b[6:], uint32(len(b)-frameHeaderSize))
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
-}
-
-// unframe validates the envelope and returns the payload.
-func unframe(magic string, data []byte) ([]byte, error) {
+// readFrame checks the frame at the head of data and returns its payload
+// and its length in bytes. A frame that is short or fails its checksum
+// is errTorn; one whose checksum holds but whose magic or version is not
+// the current one is a plain error.
+func readFrame(data []byte) (payload []byte, n int, err error) {
 	if len(data) < frameHeaderSize+4 {
-		return nil, fmt.Errorf("fleet: %s frame is %d bytes, want at least %d", magic, len(data), frameHeaderSize+4)
+		return nil, 0, fmt.Errorf("%w: %d bytes, want at least %d", errTorn, len(data), frameHeaderSize+4)
 	}
-	if string(data[:4]) != magic {
-		return nil, fmt.Errorf("fleet: frame magic %q, want %q", data[:4], magic)
+	size := uint64(binary.LittleEndian.Uint32(data[6:]))
+	if uint64(len(data)) < frameHeaderSize+size+4 {
+		return nil, 0, fmt.Errorf("%w: %d bytes, want %d for a payload of %d", errTorn, len(data), frameHeaderSize+size+4, size)
+	}
+	n = frameHeaderSize + int(size) + 4
+	if got, want := crc32.Checksum(data[:n-4], castagnoli), binary.LittleEndian.Uint32(data[n-4:]); got != want {
+		return nil, 0, fmt.Errorf("%w: checksum %08x, want %08x", errTorn, got, want)
+	}
+	if string(data[:4]) != shardMagic {
+		return nil, 0, fmt.Errorf("fleet: frame magic %q, want %q", data[:4], shardMagic)
 	}
 	if v := binary.LittleEndian.Uint16(data[4:]); v != CodecVersion {
-		return nil, fmt.Errorf("fleet: %s frame version %d, want %d", magic, v, CodecVersion)
+		return nil, 0, fmt.Errorf("fleet: frame version %d, want %d", v, CodecVersion)
 	}
-	n := int(binary.LittleEndian.Uint32(data[6:]))
-	if len(data) != frameHeaderSize+n+4 {
-		return nil, fmt.Errorf("fleet: %s frame is %d bytes, want %d for payload of %d", magic, len(data), frameHeaderSize+n+4, n)
-	}
-	body := data[:frameHeaderSize+n]
-	want := binary.LittleEndian.Uint32(data[frameHeaderSize+n:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, fmt.Errorf("fleet: %s frame checksum %08x, want %08x (corrupt or truncated)", magic, got, want)
-	}
-	return data[frameHeaderSize : frameHeaderSize+n], nil
+	return data[frameHeaderSize : n-4], n, nil
 }
 
 var errTruncated = errors.New("fleet: truncated aggregate state")
@@ -116,12 +108,12 @@ func (p *policyAcc) appendBinary(b []byte) []byte {
 	return append(b, hist...)
 }
 
-// EncodeState serializes the aggregate's state into a checksummed WFAG
-// frame. Merging it into another aggregate of the same spec is the same
-// as having folded this one's devices there; a ShardAggregate carries
-// one.
+// EncodeState serializes the aggregate's state, unframed: a WFSH frame
+// carries it behind the shard header and checksums it. Merging it into
+// another aggregate of the same spec is the same as having folded this
+// one's devices there.
 func (a *Aggregate) EncodeState() []byte {
-	b := beginFrame(stateMagic, 2048)
+	b := make([]byte, 0, 2048)
 	b = append(b, a.hash[:]...)
 	b = binary.AppendUvarint(b, uint64(a.devices))
 	b = binary.AppendUvarint(b, uint64(a.leaky))
@@ -130,10 +122,10 @@ func (a *Aggregate) EncodeState() []byte {
 	for _, m := range a.savings() {
 		b = m.AppendBinary(b)
 	}
-	return endFrame(b)
+	return b
 }
 
-// mergeState validates a WFAG payload and returns its device count.
+// mergeState validates an aggregate state and returns its device count.
 // With a non-nil a it also checks the state against a's spec, and with
 // apply set it folds the state into a. A pass without apply writes
 // nothing, so validating first and then applying is all-or-nothing.
@@ -266,27 +258,69 @@ func mergePolicy(data []byte, devices int, like, into *policyAcc) ([]byte, error
 }
 
 // EncodeShard serializes a shard aggregate into a checksummed WFSH
-// frame: the worker→supervisor wire format and the checkpoint's
-// per-shard record payload.
+// frame: the worker→supervisor wire format and the checkpoint's unit of
+// append.
 func EncodeShard(sa *ShardAggregate) []byte {
-	b := beginFrame(shardMagic, shardHeaderSize+len(sa.state))
+	b := make([]byte, frameHeaderSize, frameHeaderSize+shardHeaderSize+len(sa.state)+4)
+	copy(b, shardMagic)
+	binary.LittleEndian.PutUint16(b[4:], CodecVersion)
+	binary.LittleEndian.PutUint32(b[6:], uint32(shardHeaderSize+len(sa.state)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(sa.Index))
 	b = binary.LittleEndian.AppendUint64(b, uint64(sa.Lo))
 	b = binary.LittleEndian.AppendUint64(b, uint64(sa.Hi))
-	return endFrame(append(b, sa.state...))
+	b = append(b, sa.state...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
-// DecodeShard parses a WFSH frame, rejecting truncated, corrupt,
-// version-skewed, or structurally invalid payloads. The frame may come
-// from an untrusted worker or a damaged checkpoint: decoding never
-// panics, and a frame that decodes re-encodes to the same bytes.
+// DecodeShard parses one WFSH frame, rejecting truncated, corrupt,
+// version-skewed, or structurally invalid frames and trailing bytes. The
+// frame may come from an untrusted worker: decoding never panics, and a
+// frame that decodes re-encodes to the same bytes.
 func DecodeShard(data []byte) (*ShardAggregate, error) {
-	payload, err := unframe(shardMagic, data)
+	sa, n, err := readShard(data)
 	if err != nil {
 		return nil, err
 	}
+	if n != len(data) {
+		return nil, fmt.Errorf("fleet: %d trailing bytes after shard frame", len(data)-n)
+	}
+	return sa, nil
+}
+
+// DecodeShardLog reads a checkpoint log: WFSH frames, concatenated. Data
+// that does not begin with the current magic and version is not such a
+// log and is an error. The scan stops at the first frame that is short
+// or fails its checksum — a write torn by a crash — and n is where that
+// torn tail starts (len(data) when there is none). A frame whose
+// checksum holds but that does not decode is an error: that is damage
+// no crash explains.
+func DecodeShardLog(data []byte) (shards []*ShardAggregate, n int, err error) {
+	if len(data) < 6 || string(data[:4]) != shardMagic || binary.LittleEndian.Uint16(data[4:]) != CodecVersion {
+		return nil, 0, fmt.Errorf("fleet: not a v%d shard log: starts with %q", CodecVersion, data[:min(len(data), 6)])
+	}
+	for n < len(data) {
+		sa, k, err := readShard(data[n:])
+		if errors.Is(err, errTorn) {
+			break
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("fleet: shard frame at byte %d: %w", n, err)
+		}
+		shards = append(shards, sa)
+		n += k
+	}
+	return shards, n, nil
+}
+
+// readShard decodes the frame at the head of data and returns it with
+// the frame's length.
+func readShard(data []byte) (*ShardAggregate, int, error) {
+	payload, n, err := readFrame(data)
+	if err != nil {
+		return nil, 0, err
+	}
 	if len(payload) < shardHeaderSize {
-		return nil, fmt.Errorf("fleet: shard payload is %d bytes, want at least %d", len(payload), shardHeaderSize)
+		return nil, 0, fmt.Errorf("fleet: shard payload is %d bytes, want at least %d", len(payload), shardHeaderSize)
 	}
 	sa := &ShardAggregate{
 		Index: int(int32(binary.LittleEndian.Uint32(payload))),
@@ -294,21 +328,17 @@ func DecodeShard(data []byte) (*ShardAggregate, error) {
 		Hi:    int(int64(binary.LittleEndian.Uint64(payload[12:]))),
 	}
 	if sa.Index < 0 || sa.Lo < 0 || sa.Hi <= sa.Lo || sa.Hi > maxDevices {
-		return nil, fmt.Errorf("fleet: shard %d range [%d, %d) is invalid", sa.Index, sa.Lo, sa.Hi)
+		return nil, 0, fmt.Errorf("fleet: shard %d range [%d, %d) is invalid", sa.Index, sa.Lo, sa.Hi)
 	}
 	state := payload[shardHeaderSize:]
-	inner, err := unframe(stateMagic, state)
+	devices, err := mergeState(state, nil, false)
 	if err != nil {
-		return nil, err
-	}
-	devices, err := mergeState(inner, nil, false)
-	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if devices != sa.Hi-sa.Lo {
-		return nil, fmt.Errorf("fleet: shard [%d, %d) carries a state of %d devices", sa.Lo, sa.Hi, devices)
+		return nil, 0, fmt.Errorf("fleet: shard [%d, %d) carries a state of %d devices", sa.Lo, sa.Hi, devices)
 	}
-	copy(sa.SpecHash[:], inner)
+	copy(sa.SpecHash[:], state)
 	sa.state = bytes.Clone(state)
-	return sa, nil
+	return sa, n, nil
 }

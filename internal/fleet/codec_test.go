@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -60,32 +62,42 @@ func TestShardCodecRejectsBadFrames(t *testing.T) {
 
 	// Structural damage behind a recomputed (valid) checksum: a range
 	// that is inverted, a range that disagrees with the state's device
-	// count, and damage inside the embedded state frame.
-	reframed := func(f func(b []byte)) []byte {
-		payload := append([]byte(nil), blob[frameHeaderSize:len(blob)-4]...)
-		f(payload)
-		return endFrame(append(beginFrame(shardMagic, len(payload)), payload...))
+	// count, a truncated state, and a frame of another magic.
+	reframed := func(f func(b []byte) []byte) []byte {
+		payload := f(append([]byte(nil), blob[frameHeaderSize:len(blob)-4]...))
+		return EncodeShard(&ShardAggregate{
+			Index: int(binary.LittleEndian.Uint32(payload)),
+			Lo:    int(binary.LittleEndian.Uint64(payload[4:])),
+			Hi:    int(binary.LittleEndian.Uint64(payload[12:])),
+			state: payload[shardHeaderSize:],
+		})
 	}
-	if _, err := DecodeShard(reframed(func(p []byte) { p[4] = 0xee })); err == nil {
+	if _, err := DecodeShard(reframed(func(p []byte) []byte { p[4] = 0xee; return p })); err == nil {
 		t.Error("inconsistent shard range accepted")
 	}
-	if _, err := DecodeShard(reframed(func(p []byte) { p[12]++ })); err == nil {
+	if _, err := DecodeShard(reframed(func(p []byte) []byte { p[12]++; return p })); err == nil {
 		t.Error("range longer than the state's device count accepted")
 	}
-	if _, err := DecodeShard(reframed(func(p []byte) { p[len(p)/2] ^= 0x40 })); err == nil {
+	if _, err := DecodeShard(reframed(func(p []byte) []byte { return p[:len(p)-3] })); err == nil {
 		t.Error("corrupt embedded state accepted")
 	}
+	foreign := append([]byte(nil), blob...)
+	copy(foreign, "XFSH")
+	binary.LittleEndian.PutUint32(foreign[len(foreign)-4:], crc32.Checksum(foreign[:len(foreign)-4], castagnoli))
+	if _, err := DecodeShard(foreign); err == nil {
+		t.Error("frame of another magic accepted")
+	}
 
-	// A state frame is not a shard frame.
+	// A bare aggregate state is not a shard frame.
 	if _, err := DecodeShard(NewAggregate(spec).EncodeState()); err == nil {
-		t.Error("state frame accepted as shard frame")
+		t.Error("state accepted as shard frame")
 	}
 }
 
-// TestStateCodecRejectsBadFrames: a shard whose embedded state frame is
-// corrupt, structurally invalid behind a valid checksum, or computed
-// from another spec is never merged, and a failed merge leaves the
-// aggregate untouched.
+// TestStateCodecRejectsBadFrames: a shard whose aggregate state is
+// structurally invalid or computed from another spec is never merged,
+// and a failed merge leaves the aggregate untouched. (Bit damage is the
+// WFSH checksum's job: TestShardCodecRejectsBadFrames.)
 func TestStateCodecRejectsBadFrames(t *testing.T) {
 	spec := shardSpecs()["backend"]
 	sa := runShards(t, spec, 8)[0]
@@ -95,26 +107,22 @@ func TestStateCodecRejectsBadFrames(t *testing.T) {
 		bad.state = b
 		return &bad
 	}
-	// reframed rebuilds the state frame around a damaged payload.
-	reframed := func(f func(p []byte) []byte) []byte {
-		payload := f(append([]byte(nil), state[frameHeaderSize:len(state)-4]...))
-		return endFrame(append(beginFrame(stateMagic, len(payload)), payload...))
+	mutated := func(f func(p []byte)) []byte {
+		p := append([]byte(nil), state...)
+		f(p)
+		return p
 	}
-	flipped := append([]byte(nil), state...)
-	flipped[len(flipped)/3] ^= 0x10
 
 	into := NewAggregate(spec)
 	before := marshalSummary(t, into.Summary())
 	for name, b := range map[string][]byte{
-		"empty":                  nil,
-		"truncated":              state[:len(state)-9],
-		"trailing bytes":         append(append([]byte(nil), state...), 1),
-		"flipped bit":            flipped,
-		"shard frame":            EncodeShard(sa),
-		"payload trailing bytes": reframed(func(p []byte) []byte { return append(p, 0) }),
-		"payload truncated":      reframed(func(p []byte) []byte { return p[:len(p)-3] }),
-		"device count":           reframed(func(p []byte) []byte { p[32]++; return p }),
-		"leaky above devices":    reframed(func(p []byte) []byte { p[33] = 0x7f; return p }),
+		"empty":               nil,
+		"truncated":           state[:len(state)-9],
+		"truncated tail":      state[:len(state)-3],
+		"trailing bytes":      append(append([]byte(nil), state...), 1),
+		"shard frame":         EncodeShard(sa),
+		"device count":        mutated(func(p []byte) { p[32]++ }),
+		"leaky above devices": mutated(func(p []byte) { p[33] = 0x7f }),
 	} {
 		if err := into.MergeShard(withState(b)); err == nil {
 			t.Errorf("%s accepted", name)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -161,11 +162,11 @@ func TestSpecDefaults(t *testing.T) {
 
 func TestSpecRoundTrip(t *testing.T) {
 	want := detSpec()
-	var buf bytes.Buffer
-	if err := WriteSpec(&buf, want); err != nil {
+	blob, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSpec(&buf)
+	got, err := ReadSpec(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,9 @@ func FuzzFleetSpec(f *testing.F) {
 	})
 }
 
-// FuzzDecodeShard: DecodeShard reads untrusted bytes — a worker's stdout
-// and checkpoint records. It must never panic, and a frame it accepts
-// must re-encode to exactly the bytes it was given. The checksums keep
+// FuzzDecodeShard: DecodeShard reads untrusted bytes — a worker's
+// stdout. It must never panic, and a frame it accepts
+// must re-encode to exactly the bytes it was given. The checksum keeps
 // most mutations away from the state parser, so each input is also
 // parsed as a bare state payload: whatever validates must then merge
 // into an aggregate of a matching spec without error or panic.
@@ -70,7 +70,7 @@ func FuzzDecodeShard(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(EncodeShard(sa))
-		f.Add(sa.state[frameHeaderSize : len(sa.state)-4])
+		f.Add(sa.state)
 	}
 	f.Add([]byte("WFSH"))
 	f.Add(NewAggregate(specs["plain"]).EncodeState())

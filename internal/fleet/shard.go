@@ -26,7 +26,7 @@ type ShardAggregate struct {
 	// SpecHash is the hash of the spec the shard was computed from; a
 	// supervisor checks it against its manifest.
 	SpecHash [32]byte
-	// state is the WFAG frame of the range's aggregate.
+	// state is the range's aggregate state (EncodeState).
 	state []byte
 }
 
@@ -72,17 +72,13 @@ func (a *Aggregate) MergeShard(sa *ShardAggregate) error {
 	if sa == nil {
 		return fmt.Errorf("fleet: merge of nil shard")
 	}
-	payload, err := unframe(stateMagic, sa.state)
-	if err != nil {
-		return fmt.Errorf("fleet: shard %d: %w", sa.Index, err)
-	}
-	devices, err := mergeState(payload, a, false)
+	devices, err := mergeState(sa.state, a, false)
 	if err != nil {
 		return fmt.Errorf("fleet: shard %d: %w", sa.Index, err)
 	}
 	if devices != sa.Hi-sa.Lo {
 		return fmt.Errorf("fleet: shard [%d, %d) carries a state of %d devices", sa.Lo, sa.Hi, devices)
 	}
-	_, err = mergeState(payload, a, true)
+	_, err = mergeState(sa.state, a, true)
 	return err
 }

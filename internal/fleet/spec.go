@@ -15,7 +15,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -269,13 +268,6 @@ func ReadSpec(r io.Reader) (Spec, error) {
 		return Spec{}, err
 	}
 	return s, nil
-}
-
-// WriteSpec serializes the spec as indented JSON.
-func WriteSpec(w io.Writer, s Spec) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // Device is one sampled member of the fleet: everything that varies

@@ -186,7 +186,6 @@ type runData struct {
 	Total  int     `json:"total"`
 	Name   string  `json:"name"`
 	WallMS float64 `json:"wall_ms"`
-	Error  string  `json:"error,omitempty"`
 }
 
 // snapshotData wraps a live aggregate with its fold position.
@@ -222,12 +221,8 @@ func (s *Server) fleetExec(spec fleet.Spec) runstore.Exec {
 			h.Publish(runstore.Event{Type: "device", Data: deviceData{Done: done, Total: total}})
 		}
 		opts.RunProgress = func(p sim.Progress) {
-			rd := runData{Index: p.Index, Done: p.Done, Total: p.Total,
-				Name: p.Name, WallMS: float64(p.Wall.Microseconds()) / 1000}
-			if p.Err != nil {
-				rd.Error = p.Err.Error()
-			}
-			h.Publish(runstore.Event{Type: "run", Data: rd})
+			h.Publish(runstore.Event{Type: "run", Data: runData{Index: p.Index, Done: p.Done, Total: p.Total,
+				Name: p.Name, WallMS: float64(p.Wall.Microseconds()) / 1000}})
 		}
 		opts.Snapshot = func(done, total int, sum fleet.Summary) {
 			h.Publish(runstore.Event{Type: "snapshot", Data: snapshotData{Done: done, Total: total, Summary: sum}})

@@ -455,6 +455,8 @@ func TestBadSpecsRejected(t *testing.T) {
 		{"negative hours", "/runs", `{"hours": -1}`, "hours"},
 		{"huge hours", "/runs", `{"hours": 1e6}`, "hours"},
 		{"bad app spec", "/runs", `{"apps": [{"name":"A","period_s":-5,"alpha":0,"hw":[],"task_s":1}]}`, "period"},
+		{"unknown app field", "/runs", `{"apps": [{"name":"A","period_s":60,"alpha":0,"hw":[],"task_s":1,"nonwakeup":true}]}`, "nonwakeup"},
+		{"trailing data after apps", "/runs", `{"apps": [{"name":"A","period_s":60,"alpha":0,"hw":[],"task_s":1}]} [{"name":"B"}]`, "trailing data"},
 		{"bad beta", "/runs", `{"beta": -0.5}`, "beta"},
 		{"empty apps array", "/runs", `{"apps": []}`, "workload"},
 		{"trailing run garbage", "/runs", `{"workload": "light"} garbage`, "decode"},

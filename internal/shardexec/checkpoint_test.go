@@ -3,6 +3,10 @@ package shardexec
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -181,20 +185,97 @@ func TestCheckpointWithoutResumeStartsFresh(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsGarbageFile: a file that is not a checkpoint at
-// all fails the resume loudly.
-func TestCheckpointRejectsGarbageFile(t *testing.T) {
-	spec := testSpec(false)
+// TestCheckpointIsConcatenatedFrames: the log holds nothing but the
+// merged shards' WFSH frames, byte for byte, in merge order (one
+// sequential worker merges in plan order).
+func TestCheckpointIsConcatenatedFrames(t *testing.T) {
+	spec := testSpec(true)
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if err := os.WriteFile(ckpt, []byte("this is not a checkpoint"), 0o644); err != nil {
+	opts := testOptions(t, nil)
+	opts.Procs = 1
+	opts.ShardSize = 6
+	opts.Checkpoint = ckpt
+	res, err := Run(context.Background(), spec, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testOptions(t, nil)
-	opts.Checkpoint = ckpt
-	opts.Resume = true
-	if _, err := Run(context.Background(), spec, opts); err == nil {
-		t.Fatal("garbage checkpoint accepted")
+	var want []byte
+	for i := 0; i < res.Shards; i++ {
+		lo, hi := i*6, min((i+1)*6, spec.Devices)
+		want = append(want, shardFrame(t, spec, i, lo, hi)...)
 	}
+	got, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint is %d bytes, want the %d-byte concatenation of the %d merged frames", len(got), len(want), res.Shards)
+	}
+}
+
+// shardFrame is the WFSH frame a worker returns for shard index [lo, hi).
+func shardFrame(t testing.TB, spec fleet.Spec, index, lo, hi int) []byte {
+	t.Helper()
+	sa, err := fleet.RunShard(context.Background(), spec, lo, hi, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa.Index = index
+	return fleet.EncodeShard(sa)
+}
+
+// TestCheckpointRejectsGarbageFile: a file that is not a checkpoint of
+// the current format — garbage, or a log of the old record format —
+// fails the resume loudly and is left byte-for-byte untouched.
+func TestCheckpointRejectsGarbageFile(t *testing.T) {
+	spec := testSpec(false)
+	for name, blob := range map[string][]byte{
+		"garbage": []byte("this is not a checkpoint"),
+		"v2 log":  v2Log(t, spec, shardFrame(t, spec, 0, 0, 10)),
+	} {
+		ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
+		if err := os.WriteFile(ckpt, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := testOptions(t, nil)
+		opts.ShardSize = 10
+		opts.Checkpoint = ckpt
+		opts.Resume = true
+		if _, err := Run(context.Background(), spec, opts); err == nil {
+			t.Fatalf("%s: checkpoint accepted", name)
+		}
+		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, blob) {
+			t.Fatalf("%s: refused checkpoint was modified (%d bytes → %d, %v)", name, len(blob), len(after), err)
+		}
+	}
+}
+
+// v2Log builds a checkpoint in the previous on-disk format: a record log
+// [type u8][length u32][payload][crc32c u32] of one 'H' JSON header and
+// one 'S' record per frame.
+func v2Log(t testing.TB, spec fleet.Spec, frames ...[]byte) []byte {
+	t.Helper()
+	hash := fleet.SpecHash(spec)
+	hdr, err := json.Marshal(map[string]any{
+		"version": 2, "spec_hash": hex.EncodeToString(hash[:]), "shard_size": 10,
+		"devices": spec.WithDefaults().Devices, "spec": spec.WithDefaults(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	record := func(typ byte, payload []byte) {
+		start := len(log)
+		log = append(log, typ)
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+		log = append(log, payload...)
+		log = binary.LittleEndian.AppendUint32(log, crc32.Checksum(log[start:], crc32.MakeTable(crc32.Castagnoli)))
+	}
+	record('H', hdr)
+	for _, f := range frames {
+		record('S', f)
+	}
+	return log
 }
 
 // TestCheckpointValidatesRecordsAgainstPlan drives resume over
@@ -204,26 +285,10 @@ func TestCheckpointRejectsGarbageFile(t *testing.T) {
 func TestCheckpointValidatesRecordsAgainstPlan(t *testing.T) {
 	spec := testSpec(false) // 20 devices: shards [0, 10) and [10, 20)
 	want := cleanSummary(t, spec)
-	frame := func(index, lo, hi int) []byte {
-		sa, err := fleet.RunShard(context.Background(), spec, lo, hi, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sa.Index = index
-		return fleet.EncodeShard(sa)
-	}
+	frame := func(index, lo, hi int) []byte { return shardFrame(t, spec, index, lo, hi) }
 	writeLog := func(frames ...[]byte) string {
 		path := filepath.Join(t.TempDir(), "fleet.ckpt")
-		ck, err := createCheckpoint(path, spec, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range frames {
-			if err := ck.appendShard(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ck.Close(); err != nil {
+		if err := os.WriteFile(path, bytes.Join(frames, nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -270,4 +335,49 @@ func TestCheckpointValidatesRecordsAgainstPlan(t *testing.T) {
 			t.Fatalf("%s: error %q does not name the plan", name, err)
 		}
 	}
+}
+
+// FuzzLoadCheckpoint: resuming reads an arbitrary file. The loader never
+// panics; it either refuses the file and leaves it unchanged, or
+// recovers frames that all decode, whose concatenation is exactly the
+// prefix the file was truncated to.
+func FuzzLoadCheckpoint(f *testing.F) {
+	spec := testSpec(false)
+	s0, s1 := shardFrame(f, spec, 0, 0, 10), shardFrame(f, spec, 1, 10, 20)
+	clean := append(append([]byte(nil), s0...), s1...)
+	f.Add(clean)
+	f.Add(append(clean[:len(clean)-37:len(clean)-37], 0xde, 0xad, 0xbe))
+	f.Add(v2Log(f, spec, s0, s1))
+	f.Add([]byte("this is not a checkpoint"))
+	// Inputs run one at a time within a fuzz process, so they can share
+	// one path.
+	path := filepath.Join(f.TempDir(), "fleet.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, shards, err := openCheckpoint(path, true)
+		after, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(after, data) {
+				t.Fatalf("refused checkpoint was modified: %v", err)
+			}
+			return
+		}
+		ck.Close()
+		var frames []byte
+		for _, sa := range shards {
+			frame := fleet.EncodeShard(sa)
+			if _, err := fleet.DecodeShard(frame); err != nil {
+				t.Fatalf("recovered shard does not decode: %v", err)
+			}
+			frames = append(frames, frame...)
+		}
+		if !bytes.Equal(after, frames) || !bytes.HasPrefix(data, after) {
+			t.Fatalf("file truncated to %d of %d bytes, recovered frames span %d", len(after), len(data), len(frames))
+		}
+	})
 }

@@ -12,10 +12,10 @@
 // gets SIGKILLed, hangs, or emits a truncated or corrupt frame is
 // detected and its shard re-run; a shard that keeps failing is
 // quarantined after a bounded number of attempts and the run returns a
-// partial result with joined errors. An optional checkpoint file (an
-// append-only, checksummed record log) persists every merged shard, so
-// a run killed mid-flight resumes by merging the logged shards and
-// re-running only the missing ones.
+// partial result with joined errors. An optional checkpoint file (the
+// merged shards' checksummed frames, appended) persists every merged
+// shard, so a run killed mid-flight resumes by merging the logged shards
+// and re-running only the missing ones.
 package shardexec
 
 import (

@@ -67,9 +67,10 @@ type Options struct {
 	// only the shards the log is missing. Worker processes only.
 	Checkpoint string
 	// Resume loads an existing checkpoint at Checkpoint instead of
-	// truncating it. The log's spec hash, device count, and shard size
-	// must match. A missing or empty file starts fresh. Worker
-	// processes only.
+	// truncating it. Every logged frame must be of this spec and in this
+	// run's plan (so the shard size must match); a file in any other
+	// format is an error and is left untouched. A missing or empty file
+	// starts fresh. Worker processes only.
 	Resume bool
 	// WorkerArgv is the child command line; empty means the current
 	// executable with the single argument "-shardworker" (the wakesim
@@ -158,8 +159,8 @@ type shardResult struct {
 // byte-identical to an in-process run of the same spec regardless of
 // Procs, ShardSize, worker crashes, retries, or a checkpoint resume in
 // the middle. Each planned shard merges at most once, and a worker reply
-// or checkpoint record whose (Index, Lo, Hi) is not in the plan is
-// rejected.
+// or checkpoint frame computed for another spec or whose (Index, Lo, Hi)
+// is not in the plan is rejected.
 //
 // Error contract: a failed or quarantined shard or a cancelled context
 // returns the partial *Result alongside the error. In-process the
@@ -245,16 +246,20 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 	}
 
 	res := &Result{Spec: spec, Shards: shards, Agg: fleet.NewAggregate(spec)}
+	hash := fleet.SpecHash(spec)
 	merged := make([]bool, shards)
 	// merge folds one completed shard in whatever order it arrives. The
-	// shard must be in the plan; one already merged is skipped, so no
-	// device range is ever counted twice.
+	// shard must be of this spec and in the plan; one already merged is
+	// skipped, so no device range is ever counted twice.
 	merge := func(sa *fleet.ShardAggregate) (bool, error) {
+		if sa.SpecHash != hash {
+			return false, fmt.Errorf("shardexec: shard %d was computed for a different spec", sa.Index)
+		}
 		if sa.Index < 0 || sa.Index >= shards {
-			return false, fmt.Errorf("shardexec: shard %d is not in the %d-shard plan", sa.Index, shards)
+			return false, fmt.Errorf("shardexec: shard %d is not in the %d-shard plan for shard size %d", sa.Index, shards, shardSize)
 		}
 		if lo, hi := rangeOf(sa.Index); sa.Lo != lo || sa.Hi != hi {
-			return false, fmt.Errorf("shardexec: shard %d covers [%d, %d), the plan says [%d, %d)", sa.Index, sa.Lo, sa.Hi, lo, hi)
+			return false, fmt.Errorf("shardexec: shard %d covers [%d, %d), the plan for shard size %d says [%d, %d)", sa.Index, sa.Lo, sa.Hi, shardSize, lo, hi)
 		}
 		if merged[sa.Index] {
 			return false, nil
@@ -275,11 +280,11 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 		return true, nil
 	}
 
-	var ck *checkpoint
+	var ck *os.File
 	if opts.Checkpoint != "" {
 		var recovered []*fleet.ShardAggregate
 		var err error
-		ck, recovered, err = openOrCreate(opts.Checkpoint, spec, shardSize, opts.Resume)
+		ck, recovered, err = openCheckpoint(opts.Checkpoint, opts.Resume)
 		if err != nil {
 			return nil, err
 		}
@@ -362,12 +367,12 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 			aborted.Store(true)
 			continue
 		}
-		// Only a merged shard reaches the checkpoint, so every record a
+		// Only a merged shard reaches the checkpoint, so every frame a
 		// resume reads is one this plan accepted.
 		if _, err := merge(r.sa); err != nil {
 			fail(err)
 		} else if ck != nil {
-			if err := ck.appendShard(r.frame); err != nil {
+			if err := appendFrame(ck, r.frame); err != nil {
 				fail(err)
 			}
 		}
@@ -388,36 +393,6 @@ func supervise(ctx context.Context, spec fleet.Spec, opts Options) (*Result, err
 	default:
 		return res, nil
 	}
-}
-
-// openOrCreate resolves the checkpoint file: load-and-validate when
-// resuming onto an existing log, fresh log otherwise. It returns the
-// shards the log recovered, in log order.
-func openOrCreate(path string, spec fleet.Spec, shardSize int, resume bool) (*checkpoint, []*fleet.ShardAggregate, error) {
-	if resume {
-		if info, err := os.Stat(path); err == nil && info.Size() > 0 {
-			ck, st, err := loadCheckpoint(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			hash := fleet.SpecHash(spec)
-			if st.header.SpecHash != hex.EncodeToString(hash[:]) {
-				ck.Close()
-				return nil, nil, fmt.Errorf("shardexec: checkpoint %s was written for a different spec", path)
-			}
-			if st.header.ShardSize != shardSize {
-				ck.Close()
-				return nil, nil, fmt.Errorf("shardexec: checkpoint shard size %d does not match requested %d", st.header.ShardSize, shardSize)
-			}
-			if st.header.Devices != spec.Devices {
-				ck.Close()
-				return nil, nil, fmt.Errorf("shardexec: checkpoint device count %d does not match spec %d", st.header.Devices, spec.Devices)
-			}
-			return ck, st.shards, nil
-		}
-	}
-	ck, err := createCheckpoint(path, spec, shardSize)
-	return ck, nil, err
 }
 
 // runShardProcess executes one shard to completion: launch a worker,

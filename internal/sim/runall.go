@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -30,28 +29,18 @@ type Progress struct {
 	Name string
 	// Wall is the real time this one run took.
 	Wall time.Duration
-	// Err is the run's failure, if any. Failed runs reach the callback
-	// only in Aggregate mode (in first-error mode the failure tears the
-	// pool down instead).
-	Err error
 }
 
 // RunAllOptions tunes the parallel runner. The zero value uses
-// GOMAXPROCS workers, first-error semantics, and no progress callback.
+// GOMAXPROCS workers and no progress callback.
 type RunAllOptions struct {
 	// Workers bounds the worker pool; values ≤ 0 mean
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, is called after each run completes.
+	// Progress, when non-nil, is called after each run succeeds.
 	// Calls are serialized across workers, so the callback needs no
 	// locking of its own, but it should not block for long.
 	Progress func(Progress)
-	// Aggregate switches error handling from first-error-cancels-pool
-	// to run-everything-collect-everything: every run executes, a
-	// failed run leaves a nil slot in the results, and the returned
-	// error joins every per-run error in input order (errors.Join).
-	// One poisoned run can then never take down the batch.
-	Aggregate bool
 }
 
 // PanicError is a panic recovered from a poisoned run, converted into
@@ -71,12 +60,9 @@ func (e *PanicError) Error() string {
 // panic becomes that run's *PanicError (stack attached), so one
 // poisoned configuration cannot take down the batch or the process.
 //
-// In the default first-error mode, the first failed run cancels the
-// pool — runs already in flight finish, no new runs start — and its
-// error is returned alongside the partial results; cancelling ctx does
-// the same with ctx.Err(). With opts.Aggregate set, every run executes,
-// failed runs leave nil slots, and the returned error joins every
-// failure in input order.
+// The first failed run cancels the pool — runs already in flight
+// finish, no new runs start — and its error is returned with no
+// results; cancelling ctx does the same with ctx.Err().
 func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	err := runPool(ctx, len(cfgs), opts, func(i int) (string, error) {
@@ -87,10 +73,10 @@ func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, 
 		results[i] = r
 		return runLabel(cfgs[i]), nil
 	})
-	if err != nil && !opts.Aggregate {
+	if err != nil {
 		return nil, err
 	}
-	return results, err
+	return results, nil
 }
 
 // RunToEmptyAll discharges every configuration on the worker pool —
@@ -107,10 +93,10 @@ func RunToEmptyAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*D
 		results[i] = d
 		return runLabel(cfgs[i]), nil
 	})
-	if err != nil && !opts.Aggregate {
+	if err != nil {
 		return nil, err
 	}
-	return results, err
+	return results, nil
 }
 
 // RunTrials repeats the configuration with seeds Seed, Seed+1, ... —
@@ -207,10 +193,8 @@ func runIsolated[T any](run func() (T, error)) (v T, err error) {
 
 // runPool is the bounded-worker scaffolding under RunAll,
 // RunToEmptyAll, and the trial helpers: a feeder hands out indices, a
-// fixed set of workers executes fn, and — in first-error mode — the
-// first failure (or ctx cancellation) stops the feeder so no new work
-// starts. In aggregate mode failures are collected per index and
-// joined, and only ctx cancellation stops the feeder.
+// fixed set of workers executes fn, and the first failure (or ctx
+// cancellation) stops the feeder so no new work starts.
 func runPool(ctx context.Context, n int, opts RunAllOptions, fn func(i int) (string, error)) error {
 	if n == 0 {
 		return ctx.Err()
@@ -243,7 +227,6 @@ func runPool(ctx context.Context, n int, opts RunAllOptions, fn func(i int) (str
 		mu   sync.Mutex
 		done int
 	)
-	errs := make([]error, n) // aggregate mode; disjoint indices, no lock
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -252,16 +235,13 @@ func runPool(ctx context.Context, n int, opts RunAllOptions, fn func(i int) (str
 				start := time.Now()
 				name, err := fn(i)
 				if err != nil {
-					if !opts.Aggregate {
-						cancel(err) // first failure wins; later ones are no-ops
-						return
-					}
-					errs[i] = err
+					cancel(err) // first failure wins; later ones are no-ops
+					return
 				}
 				if opts.Progress != nil {
 					mu.Lock()
 					done++
-					opts.Progress(Progress{Index: i, Done: done, Total: n, Name: name, Wall: time.Since(start), Err: err})
+					opts.Progress(Progress{Index: i, Done: done, Total: n, Name: name, Wall: time.Since(start)})
 					mu.Unlock()
 				}
 			}
@@ -270,9 +250,6 @@ func runPool(ctx context.Context, n int, opts RunAllOptions, fn func(i int) (str
 	wg.Wait()
 	// Cause distinguishes "a run failed" (the cause passed to cancel)
 	// from "the caller cancelled ctx" (its own error); nil means every
-	// run finished. Aggregate failures are joined in input order.
-	if err := context.Cause(ctx); err != nil {
-		return err
-	}
-	return errors.Join(errs...)
+	// run finished.
+	return context.Cause(ctx)
 }

@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.
@@ -66,20 +65,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the median, averaging the middle pair for even lengths.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // t95 holds two-sided 95% Student-t critical values for small samples
@@ -140,29 +125,3 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.3f ± %.3f [%.3f, %.3f] (n=%d)", s.Mean, s.CI95, s.Min, s.Max, s.N)
 }
-
-// Collector accumulates named metric series across trials.
-type Collector struct {
-	order []string
-	data  map[string][]float64
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{data: map[string][]float64{}} }
-
-// Add appends one observation of the named metric.
-func (c *Collector) Add(name string, v float64) {
-	if _, ok := c.data[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.data[name] = append(c.data[name], v)
-}
-
-// Get returns the observations of a metric.
-func (c *Collector) Get(name string) []float64 { return c.data[name] }
-
-// Names lists metrics in first-added order.
-func (c *Collector) Names() []string { return c.order }
-
-// Summary summarizes one metric.
-func (c *Collector) Summary(name string) Summary { return Summarize(c.data[name]) }

@@ -32,18 +32,18 @@ func TestMinMaxMedian(t *testing.T) {
 	if Min(xs) != 1 || Max(xs) != 5 {
 		t.Fatal("min/max wrong")
 	}
-	if Median(xs) != 3 {
-		t.Fatalf("odd median = %v", Median(xs))
+	if Quantile(xs, 0.5) != 3 {
+		t.Fatalf("odd median = %v", Quantile(xs, 0.5))
 	}
-	if !approx(Median([]float64{1, 2, 3, 4}), 2.5) {
+	if !approx(Quantile([]float64{1, 2, 3, 4}, 0.5), 2.5) {
 		t.Fatal("even median wrong")
 	}
-	if Min(nil) != 0 || Max(nil) != 0 || Median(nil) != 0 {
+	if Min(nil) != 0 || Max(nil) != 0 || Quantile(nil, 0.5) != 0 {
 		t.Fatal("empty cases wrong")
 	}
-	// Median must not mutate its input.
+	// The median must not mutate its input.
 	if xs[0] != 3 {
-		t.Fatal("Median sorted the caller's slice")
+		t.Fatal("Quantile sorted the caller's slice")
 	}
 }
 
@@ -78,25 +78,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCollector(t *testing.T) {
-	c := NewCollector()
-	c.Add("energy", 10)
-	c.Add("energy", 12)
-	c.Add("delay", 0.1)
-	if got := c.Names(); len(got) != 2 || got[0] != "energy" || got[1] != "delay" {
-		t.Fatalf("names = %v", got)
-	}
-	if len(c.Get("energy")) != 2 {
-		t.Fatal("observations lost")
-	}
-	if c.Summary("energy").Mean != 11 {
-		t.Fatal("summary wrong")
-	}
-	if c.Summary("missing").N != 0 {
-		t.Fatal("missing metric should summarize empty")
-	}
-}
-
 // TestDegenerateInputsAreTotal: every batch function must return a
 // defined, finite value on empty and single-element inputs — the
 // NaN-prone cases (0/0 means, √ of negative rounding residue, t-table
@@ -110,7 +91,6 @@ func TestDegenerateInputsAreTotal(t *testing.T) {
 		{"StdDev", StdDev},
 		{"Min", Min},
 		{"Max", Max},
-		{"Median", Median},
 		{"CI95", CI95},
 		{"Quantile(0.5)", func(xs []float64) float64 { return Quantile(xs, 0.5) }},
 	}
@@ -143,7 +123,6 @@ func TestDegenerateInputsAreTotal(t *testing.T) {
 		want float64
 	}{
 		{"Mean", Mean(one), 7},
-		{"Median", Median(one), 7},
 		{"Min", Min(one), 7},
 		{"Max", Max(one), 7},
 		{"Quantile", Quantile(one, 0.95), 7},
@@ -166,7 +145,7 @@ func TestDegenerateInputsAreTotal(t *testing.T) {
 	}
 }
 
-// Property: Min ≤ Median ≤ Max and Min ≤ Mean ≤ Max.
+// Property: Min ≤ median (Quantile 0.5) ≤ Max and Min ≤ Mean ≤ Max.
 func TestPropertyOrderStatistics(t *testing.T) {
 	prop := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -176,7 +155,7 @@ func TestPropertyOrderStatistics(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		mn, mx, md, mean := Min(xs), Max(xs), Median(xs), Mean(xs)
+		mn, mx, md, mean := Min(xs), Max(xs), Quantile(xs, 0.5), Mean(xs)
 		return mn <= md && md <= mx && mn <= mean+1e-9 && mean <= mx+1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {

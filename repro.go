@@ -62,7 +62,7 @@ type (
 	// Profile is a device power model.
 	Profile = power.Profile
 	// RunAllOptions tunes the parallel experiment runner (worker count,
-	// progress callback, aggregate-error mode).
+	// progress callback).
 	RunAllOptions = sim.RunAllOptions
 	// RunProgress reports one finished run to a progress callback.
 	RunProgress = sim.Progress
