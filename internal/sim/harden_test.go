@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,22 +24,39 @@ func (panicPolicy) Select([]*alarm.Entry, *alarm.Alarm, simclock.Time) int {
 	panic("poisoned policy")
 }
 
-// TestRunAllPoisonedFirstError: a panicking run becomes an error, never
-// a crash — a *PanicError with the stack attached that names the run —
-// and tears the pool down like any other first error. make verify runs
-// it under -race.
-func TestRunAllPoisonedFirstError(t *testing.T) {
-	cfgs := []Config{
-		{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: 1, Custom: panicPolicy{}},
-		{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: 2},
+// TestRunAllPoisonedBatchAggregate is the isolation acceptance test: a
+// batch of 8 runs on 4 workers with one poisoned (panicking) run ends
+// in that run's *PanicError — stack attached, naming the run — instead
+// of a crash, the poisoned run is never reported as finished, and the
+// batch is race-clean (make verify executes this under -race).
+func TestRunAllPoisonedBatchAggregate(t *testing.T) {
+	cfgs := make([]Config, 8)
+	for i := range cfgs {
+		cfgs[i] = Config{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: int64(i)}
 	}
-	rs, err := RunAll(context.Background(), cfgs, RunAllOptions{Workers: 1})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a *PanicError", err)
+	const poisoned = 3
+	cfgs[poisoned].Custom = panicPolicy{}
+
+	var finished []int
+	rs, err := RunAll(context.Background(), cfgs, RunAllOptions{
+		Workers:  4,
+		Progress: func(p Progress) { finished = append(finished, p.Index) },
+	})
+	if err == nil {
+		t.Fatal("poisoned run's panic vanished")
 	}
 	if rs != nil {
 		t.Errorf("a failed batch returned partial results")
+	}
+	for _, i := range finished {
+		if i == poisoned {
+			t.Errorf("poisoned run %d reported as finished", i)
+		}
+	}
+
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error does not unwrap to *PanicError: %v", err)
 	}
 	if pe.Value != "poisoned policy" {
 		t.Errorf("panic value %v", pe.Value)
@@ -46,8 +64,32 @@ func TestRunAllPoisonedFirstError(t *testing.T) {
 	if !strings.Contains(string(pe.Stack), "goroutine") {
 		t.Errorf("no stack attached to the panic: %q", pe.Stack)
 	}
-	if !strings.Contains(err.Error(), "run 0") || !strings.Contains(err.Error(), "PANIC") {
+	if !strings.Contains(err.Error(), fmt.Sprintf("run %d", poisoned)) ||
+		!strings.Contains(err.Error(), "PANIC") {
 		t.Errorf("error does not identify the poisoned run: %v", err)
+	}
+}
+
+// TestRunAllPoisonedFirstError: with one worker and the poisoned run
+// first in line, the panic still becomes an error (never a crash) and
+// tears the pool down like any other first error.
+func TestRunAllPoisonedFirstError(t *testing.T) {
+	cfgs := []Config{
+		{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: 1, Custom: panicPolicy{}},
+		{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: 2},
+	}
+	started := 0
+	rs, err := RunAll(context.Background(), cfgs,
+		RunAllOptions{Workers: 1, Progress: func(Progress) { started++ }})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PanicError", err)
+	}
+	if rs != nil {
+		t.Errorf("a failed batch returned partial results")
+	}
+	if started != 0 {
+		t.Errorf("%d runs completed after the panic stopped the pool", started)
 	}
 }
 
